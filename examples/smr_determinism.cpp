@@ -35,7 +35,9 @@ class FalselyDeterministicTokenService final
       : inner_(seed) {}
 
   Bytes execute(BytesView request) override { return inner_.execute(request); }
-  Bytes snapshot() const override { return inner_.snapshot(); }
+  void append_snapshot(Bytes& out) const override {
+    inner_.append_snapshot(out);
+  }
   void restore(BytesView snapshot) override { inner_.restore(snapshot); }
 
  private:

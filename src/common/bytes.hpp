@@ -107,6 +107,12 @@ inline std::uint32_t read_u32_be(BytesView data, std::size_t offset) {
 /// Append `data` to `out`.
 void append(Bytes& out, BytesView data);
 
+/// Append a string's characters to `out` (no encoding change, and no
+/// temporary Bytes the way append(out, bytes_of(s)) would build).
+inline void append(Bytes& out, std::string_view s) {
+  out.insert(out.end(), s.begin(), s.end());
+}
+
 /// Constant-time equality (length leak only); used for MAC comparison.
 bool equal_constant_time(BytesView a, BytesView b);
 

@@ -8,7 +8,7 @@ void append_string_list(Bytes& out, const std::vector<std::string>& list) {
   append_u64_be(out, list.size());
   for (const std::string& s : list) {
     append_u64_be(out, s.size());
-    append(out, bytes_of(s));
+    append(out, s);
   }
 }
 

@@ -58,6 +58,10 @@ class SigningKey {
   /// Sign `message` as this principal.
   Signature sign(BytesView message) const;
 
+  /// The tag sign() would carry, without copying the signer name — for
+  /// encoders that write the signer field themselves.
+  Digest tag(BytesView message) const { return mac_.mac(message); }
+
  private:
   friend class KeyRegistry;
   SigningKey(PrincipalId id, HmacKey mac) : id_(std::move(id)), mac_(mac) {}

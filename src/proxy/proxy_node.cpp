@@ -10,7 +10,6 @@ namespace fortress::proxy {
 using replication::Message;
 using replication::MessageView;
 using replication::MsgType;
-using replication::RequestKeyRef;
 
 ProxyNode::ProxyNode(sim::Simulator& sim, net::Network& network,
                      crypto::KeyRegistry& registry, ProxyConfig config)
@@ -121,12 +120,10 @@ void ProxyNode::handle_client_request(const net::Envelope& env,
     ++stats_.requests_from_blacklisted;
     return;  // identified attacker: drop silently
   }
-  auto it = pending_.find(RequestKeyRef{msg.request_client(),
-                                        msg.request_seq()});
-  if (it == pending_.end()) {
-    it = pending_.emplace(msg.request_id(), PendingRequest{}).first;
-  }
-  it->second.clients.insert(env.from);
+  PendingRequest& pending = pending_.find_or_insert(
+      msg.request_client(), msg.request_seq(),
+      replication::request_key_hash(msg.request_client(), msg.request_seq()));
+  replication::insert_sorted_unique(pending.clients, env.from);
 
   // Re-forward on duplicates too (the earlier copy may have died with a
   // crashed child); servers dedup by request id.
@@ -169,9 +166,10 @@ void ProxyNode::forward(const MessageView& msg) {
 
 void ProxyNode::handle_server_response(const net::Envelope& env,
                                        const MessageView& msg) {
-  auto it = pending_.find(RequestKeyRef{msg.request_client(),
-                                        msg.request_seq()});
-  if (it == pending_.end()) return;  // response to a request we never saw
+  PendingRequest* pending = pending_.find(
+      msg.request_client(), msg.request_seq(),
+      replication::request_key_hash(msg.request_client(), msg.request_seq()));
+  if (pending == nullptr) return;  // response to a request we never saw
   if (env.degraded) {
     // Overloaded machine under DegradeUnsigned: the dispatch is marked
     // degraded, so the proxy skips inner-signature verification and trusts
@@ -198,10 +196,12 @@ void ProxyNode::handle_server_response(const net::Envelope& env,
   // responses"). The over-signature covers the signed core + inner
   // signature — the requester is blanked in the signed form — so one
   // signature serves every client; each delivery is a wire splice.
-  PendingRequest& pending = it->second;
   std::optional<crypto::Signature> over;
-  for (net::HostId client : pending.clients) {
-    if (pending.answered.contains(client)) continue;
+  for (net::HostId client : pending->clients) {
+    if (std::binary_search(pending->answered.begin(), pending->answered.end(),
+                           client)) {
+      continue;
+    }
     if (!over) {
       msg.over_signing_bytes_into(sign_scratch_);
       over = key_.sign(sign_scratch_);
@@ -209,7 +209,7 @@ void ProxyNode::handle_server_response(const net::Envelope& env,
     Bytes wire = network_.acquire_buffer();
     msg.encode_proxy_response_into(wire, network_.address_of(client), *over);
     network_.send(self_id_, client, std::move(wire));
-    pending.answered.insert(client);
+    replication::insert_sorted_unique(pending->answered, client);
     ++stats_.responses_delivered;
   }
 }

@@ -10,21 +10,47 @@ namespace {
 
 constexpr std::uint32_t kWireMagic = 0x46544d47;  // "FTMG"
 
-void append_string(Bytes& out, const std::string& s) {
+/// Fixed-width part of the core: magic, type, view, seq, sender index.
+constexpr std::size_t kHeaderSize = 28;
+
+void append_string(Bytes& out, std::string_view s) {
   append_u64_be(out, s.size());
-  append(out, bytes_of(s));
+  append(out, s);
 }
 
-void append_bytes_field(Bytes& out, const Bytes& b) {
+void append_bytes_field(Bytes& out, BytesView b) {
   append_u64_be(out, b.size());
   append(out, b);
 }
 
+/// A present signature field: presence byte, signer, tag.
+void append_signature(Bytes& out, std::string_view signer,
+                      const crypto::Digest& tag) {
+  out.push_back(1);
+  append_string(out, signer);
+  append(out, BytesView(tag.data(), tag.size()));
+}
+
 void append_signature(Bytes& out, const std::optional<crypto::Signature>& sig) {
-  out.push_back(sig.has_value() ? 1 : 0);
-  if (!sig) return;
-  append_string(out, sig->signer.name);
-  append(out, BytesView(sig->tag.data(), sig->tag.size()));
+  if (!sig) {
+    out.push_back(0);
+    return;
+  }
+  append_signature(out, sig->signer.name, sig->tag);
+}
+
+std::size_t core_size(const MessageFields& f) {
+  return kHeaderSize + 8 + f.client.size() + 8 + 8 + f.requester.size() + 8 +
+         f.payload.size() + 8 + f.aux.size();
+}
+
+/// Encoded size of a present signature field by `signer`.
+std::size_t signature_size(std::string_view signer) {
+  return 1 + 8 + signer.size() + crypto::Digest{}.size();
+}
+
+std::size_t signature_size(const std::optional<crypto::Signature>& sig) {
+  return sig ? signature_size(sig->signer.name) : 1;
 }
 
 class Reader {
@@ -99,41 +125,44 @@ class Reader {
   bool ok_ = true;
 };
 
-void encode_core_into(Bytes& out, const Message& m) {
-  append_u32_be(out, kWireMagic);
-  append_u32_be(out, static_cast<std::uint32_t>(m.type));
-  append_u64_be(out, m.view);
-  append_u64_be(out, m.seq);
-  append_u32_be(out, m.sender_index);
-  append_string(out, m.request_id.client);
-  append_u64_be(out, m.request_id.seq);
-  append_string(out, m.requester);
-  append_bytes_field(out, m.payload);
-  append_bytes_field(out, m.aux);
-}
-
-Bytes encode_core(const Message& m) {
-  Bytes out;
-  encode_core_into(out, m);
-  return out;
+/// The fields a server signature covers:
+///  * `requester` is rewritten at each forwarding hop (server -> proxy ->
+///    client), so it is excluded (blanked);
+///  * a ProxyResponse is the same server-signed object as a Response with
+///    an endorsement stapled on, so the type is normalized — the server's
+///    signature survives the proxy relabeling. All other type pairs remain
+///    distinct, so protocol messages cannot be re-purposed across planes.
+MessageFields signed_form(MessageFields f) {
+  f.requester = {};
+  if (f.type == MsgType::ProxyResponse) f.type = MsgType::Response;
+  return f;
 }
 
 }  // namespace
 
+void append_core(Bytes& out, const MessageFields& f) {
+  out.reserve(out.size() + core_size(f));
+  append_u32_be(out, kWireMagic);
+  append_u32_be(out, static_cast<std::uint32_t>(f.type));
+  append_u64_be(out, f.view);
+  append_u64_be(out, f.seq);
+  append_u32_be(out, f.sender_index);
+  append_string(out, f.client);
+  append_u64_be(out, f.rid_seq);
+  append_string(out, f.requester);
+  append_bytes_field(out, f.payload);
+  append_bytes_field(out, f.aux);
+}
+
+MessageFields Message::fields() const {
+  return MessageFields{type, view, seq, sender_index, request_id.client,
+                       request_id.seq, requester, payload, aux};
+}
+
 Bytes Message::signing_bytes() const {
-  // Signatures cover the semantic content, not routing metadata:
-  //  * `requester` is rewritten at each forwarding hop (server -> proxy ->
-  //    client), so it is excluded (blanked);
-  //  * a ProxyResponse is the same server-signed object as a Response with
-  //    an endorsement stapled on, so the type is normalized — the server's
-  //    signature survives the proxy relabeling. All other type pairs remain
-  //    distinct, so protocol messages cannot be re-purposed across planes.
-  Message canonical = *this;
-  canonical.requester.clear();
-  if (canonical.type == MsgType::ProxyResponse) {
-    canonical.type = MsgType::Response;
-  }
-  return encode_core(canonical);
+  Bytes out;
+  append_core(out, signed_form(fields()));
+  return out;
 }
 
 Bytes Message::over_signing_bytes() const {
@@ -150,8 +179,11 @@ Bytes Message::encode() const {
 }
 
 void Message::encode_into(Bytes& out) const {
+  const MessageFields f = fields();
   out.clear();
-  encode_core_into(out, *this);
+  out.reserve(core_size(f) + signature_size(signature) +
+              signature_size(over_signature));
+  append_core(out, f);
   append_signature(out, signature);
   append_signature(out, over_signature);
 }
@@ -164,7 +196,7 @@ crypto::Signature SignatureView::materialize() const {
 }
 
 std::optional<MessageHeader> MessageView::peek(BytesView data) {
-  if (data.size() < 28) return std::nullopt;
+  if (data.size() < kHeaderSize) return std::nullopt;
   if (read_u32_be(data, 0) != kWireMagic) return std::nullopt;
   MessageHeader h;
   h.type = static_cast<MsgType>(read_u32_be(data, 4));
@@ -185,14 +217,14 @@ std::optional<MessageView> MessageView::decode(BytesView data) {
   std::optional<MessageView> out;
   const std::size_t n = data.size();
   const std::uint8_t* const p = data.data();
-  if (n < 28 || detail::load_be32(p) != kWireMagic) return out;
+  if (n < kHeaderSize || detail::load_be32(p) != kWireMagic) return out;
   MessageView& v = out.emplace();
   v.data_ = data;
   v.header_.type = static_cast<MsgType>(detail::load_be32(p + 4));
   v.header_.view = detail::load_be64(p + 8);
   v.header_.seq = detail::load_be64(p + 16);
   v.header_.sender_index = detail::load_be32(p + 24);
-  std::size_t off = 28;
+  std::size_t off = kHeaderSize;
   auto field = [&](std::size_t& f_off, std::size_t& f_len) {
     if (n - off < 8) return false;
     const std::uint64_t len = detail::load_be64(p + off);
@@ -297,9 +329,7 @@ void MessageView::encode_readdressed_into(Bytes& out,
                                           std::string_view requester) const {
   out.clear();
   append(out, data_.subspan(0, requester_len_off_));
-  append_u64_be(out, requester.size());
-  append(out, BytesView(reinterpret_cast<const std::uint8_t*>(requester.data()),
-                        requester.size()));
+  append_string(out, requester);
   append(out, data_.subspan(requester_off_ + requester_len_));
 }
 
@@ -311,9 +341,7 @@ void MessageView::encode_proxy_response_into(
   append(out, data_.subspan(0, 4));
   append_u32_be(out, static_cast<std::uint32_t>(MsgType::ProxyResponse));
   append(out, data_.subspan(8, requester_len_off_ - 8));
-  append_u64_be(out, requester.size());
-  append(out, BytesView(reinterpret_cast<const std::uint8_t*>(requester.data()),
-                        requester.size()));
+  append_string(out, requester);
   // payload, aux and the inner signature, verbatim; then the fresh
   // over-signature in place of whatever followed.
   const std::size_t requester_end = requester_off_ + requester_len_;
@@ -474,40 +502,36 @@ std::optional<std::size_t> stage_verify_from_indexed_peer(
   return batch.enqueue(schedule, scratch, m.signature()->tag);
 }
 
-SignedResponseTemplate::SignedResponseTemplate(const Message& core,
-                                               const crypto::SigningKey& key) {
-  Message canonical = core;
-  canonical.requester.clear();
-  canonical.signature.reset();
-  canonical.over_signature.reset();
-
+void SignedResponseTemplate::rebuild(const MessageFields& core,
+                                     const crypto::SigningKey& key) {
   // The signature covers the requester-blanked, type-normalized core —
   // identical for every recipient (this is what makes the template sound).
-  Message signing = canonical;
-  if (signing.type == MsgType::ProxyResponse) signing.type = MsgType::Response;
-  const crypto::Signature sig = key.sign(encode_core(signing));
-
-  // Split the blank-requester core at the requester length field; emits
-  // splice each address between the halves.
-  const Bytes blank = encode_core(canonical);
-  const std::size_t split = 28 + 8 + canonical.request_id.client.size() + 8;
-  prefix_.assign(blank.begin(), blank.begin() + static_cast<std::ptrdiff_t>(split));
-  suffix_.assign(blank.begin() + static_cast<std::ptrdiff_t>(split + 8),
-                 blank.end());
-  append_signature(suffix_, sig);
-  suffix_.push_back(0);  // no over-signature
+  // Encode that form once, sign it, then restore the real type word.
+  const MessageFields signed_core = signed_form(core);
+  const std::string_view signer = key.id().name;
+  blank_.clear();
+  blank_.reserve(core_size(signed_core) + signature_size(signer) + 1);
+  append_core(blank_, signed_core);
+  const crypto::Digest tag = key.tag(blank_);
+  if (core.type != signed_core.type) {
+    const std::uint32_t type =
+        detail::host_to_be32(static_cast<std::uint32_t>(core.type));
+    std::memcpy(blank_.data() + 4, &type, 4);
+  }
+  append_signature(blank_, signer, tag);
+  blank_.push_back(0);  // no over-signature
+  split_ = kHeaderSize + 8 + core.client.size() + 8;
 }
 
 void SignedResponseTemplate::emit_into(Bytes& out,
                                        std::string_view requester) const {
+  // Splice the address over the blank requester (its zero length field).
+  const BytesView blank(blank_);
   out.clear();
-  out.reserve(prefix_.size() + 8 + requester.size() + suffix_.size());
-  append(out, prefix_);
-  append_u64_be(out, requester.size());
-  append(out,
-         BytesView(reinterpret_cast<const std::uint8_t*>(requester.data()),
-                   requester.size()));
-  append(out, suffix_);
+  out.reserve(blank.size() + requester.size());
+  append(out, blank.first(split_));
+  append_string(out, requester);
+  append(out, blank.subspan(split_ + 8));
 }
 
 }  // namespace fortress::replication

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -65,28 +66,25 @@ struct RequestId {
   std::string to_string() const { return client + "#" + std::to_string(seq); }
 };
 
-/// A borrowed request identity (the MessageView fields) for probing
-/// RequestId-keyed containers without materializing the client string.
-struct RequestKeyRef {
-  std::string_view client;
+/// Borrowed values of one message's core — every field except the two
+/// signatures. The encoders read these rather than a Message, so a replica
+/// can encode straight from its own state without first copying strings and
+/// buffers into a Message.
+struct MessageFields {
+  MsgType type = MsgType::Request;
+  std::uint64_t view = 0;
   std::uint64_t seq = 0;
+  std::uint32_t sender_index = 0;
+  std::string_view client;    ///< request_id.client
+  std::uint64_t rid_seq = 0;  ///< request_id.seq
+  std::string_view requester;
+  BytesView payload;
+  BytesView aux;
 };
 
-/// Transparent strict-weak order over RequestId / RequestKeyRef, matching
-/// RequestId's own (client, seq) ordering.
-struct RequestIdLess {
-  using is_transparent = void;
-  static std::pair<std::string_view, std::uint64_t> key(const RequestId& r) {
-    return {r.client, r.seq};
-  }
-  static std::pair<std::string_view, std::uint64_t> key(const RequestKeyRef& r) {
-    return {r.client, r.seq};
-  }
-  template <typename A, typename B>
-  bool operator()(const A& a, const B& b) const {
-    return key(a) < key(b);
-  }
-};
+/// Append the core encoding of `f` (the wire bytes up to, not including,
+/// the signature fields) to `out`, reserving its exact size first.
+void append_core(Bytes& out, const MessageFields& f);
 
 /// The universal protocol record.
 struct Message {
@@ -100,6 +98,9 @@ struct Message {
   Bytes aux;                   ///< snapshot / digest / directory blob
   std::optional<crypto::Signature> signature;        ///< server signature
   std::optional<crypto::Signature> over_signature;   ///< proxy over-signature
+
+  /// Borrowed view of every field but the signatures.
+  MessageFields fields() const;
 
   /// Full wire encoding (including signatures).
   Bytes encode() const;
@@ -117,6 +118,27 @@ struct Message {
   /// Decode; nullopt on malformed input (never throws on hostile bytes).
   static std::optional<Message> decode(BytesView data);
 };
+
+/// Encode an unsigned message into `out` (replacing its contents) with the
+/// aux field's bytes appended in place by `write_aux(out)`; `f.aux` is
+/// ignored. The primary's state update uses this to write the service
+/// snapshot straight into a pooled wire buffer. Bit-identical to encoding a
+/// Message whose aux holds the same bytes and that carries no signatures.
+template <typename WriteAux>
+void encode_unsigned_into(Bytes& out, const MessageFields& f,
+                          WriteAux&& write_aux) {
+  MessageFields head = f;
+  head.aux = {};
+  out.clear();
+  append_core(out, head);
+  const std::size_t aux_start = out.size();
+  write_aux(out);
+  const std::uint64_t aux_len =
+      detail::host_to_be64(static_cast<std::uint64_t>(out.size() - aux_start));
+  std::memcpy(out.data() + aux_start - 8, &aux_len, 8);
+  out.push_back(0);  // no signature
+  out.push_back(0);  // no over-signature
+}
 
 /// Borrowed view of one signature field on the wire: signer name and tag
 /// point into the decoded input span.
@@ -296,20 +318,34 @@ std::optional<std::size_t> stage_verify_from_indexed_peer(
 /// the template hoists that invariant: emit_into(out, r) is bit-identical
 /// to { Message m = core; m.requester = r; sign_message(m, key);
 /// m.encode_into(out); } at one signature and zero re-encodes for all N.
-/// Used by SmrReplica::respond() / PbReplica::send_response fan-out.
+/// Used by SmrReplica::respond() / PbReplica::send_response fan-out. A
+/// replica keeps one template and rebuild()s it per response, so its buffer
+/// keeps its capacity and the steady-state fan-out allocates nothing.
 class SignedResponseTemplate {
  public:
+  SignedResponseTemplate() = default;
+
   /// Capture `core`'s fields (its requester/signature/over_signature are
   /// ignored) and sign as `key`.
-  SignedResponseTemplate(const Message& core, const crypto::SigningKey& key);
+  SignedResponseTemplate(const Message& core, const crypto::SigningKey& key) {
+    rebuild(core.fields(), key);
+  }
+
+  /// Re-sign for a new core in place (`core.requester` is ignored). The
+  /// core is encoded once, requester blanked and type normalized — which
+  /// is exactly the signed form — then the type word is patched back for a
+  /// ProxyResponse.
+  void rebuild(const MessageFields& core, const crypto::SigningKey& key);
 
   /// Emit the signed wire encoding addressed to `requester` into `out`
   /// (replacing its contents).
   void emit_into(Bytes& out, std::string_view requester) const;
 
  private:
-  Bytes prefix_;  ///< core encoding up to the requester length field
-  Bytes suffix_;  ///< core after the requester field + signature fields
+  /// The signed wire encoding addressed to the empty requester.
+  Bytes blank_;
+  /// Offset of the requester length field in blank_ (the splice point).
+  std::size_t split_ = 0;
 };
 
 }  // namespace fortress::replication

@@ -62,20 +62,18 @@ void PbReplica::stop() {
 }
 
 void PbReplica::broadcast(const Message& msg) {
-  // Encode once into a pooled buffer; each recipient gets a pooled copy.
   Bytes wire = network_.acquire_buffer();
   msg.encode_into(wire);
+  broadcast_wire(std::move(wire));
+}
+
+void PbReplica::broadcast_wire(Bytes wire) {
+  // Encoded once into a pooled buffer; each recipient gets a pooled copy.
   for (std::uint32_t i = 0; i < replica_ids_.size(); ++i) {
     if (i == config_.index) continue;
     network_.send_copy(id_, replica_ids_[i], wire);
   }
   network_.recycle_buffer(std::move(wire));
-}
-
-void PbReplica::send_to(net::HostId to, const Message& msg) {
-  Bytes wire = network_.acquire_buffer();
-  msg.encode_into(wire);
-  network_.send(id_, to, std::move(wire));
 }
 
 void PbReplica::handle_message(const net::Envelope& env) {
@@ -120,16 +118,20 @@ void PbReplica::handle_request(const net::Envelope& env,
   ++applied_seq_;
   ++executed_count_;
 
-  Message update;
+  // Encoded straight into the pooled wire buffer, service snapshot included.
+  MessageFields update;
   update.type = MsgType::StateUpdate;
   update.view = view_;
   update.seq = applied_seq_;
   update.sender_index = config_.index;
-  update.request_id = req.rid;
+  update.client = req.rid.client;
+  update.rid_seq = req.rid.seq;
   update.requester = network_.address_of(env.from);
   update.payload = req.response;
-  update.aux = service_->snapshot();
-  broadcast(update);
+  Bytes wire = network_.acquire_buffer();
+  encode_unsigned_into(wire, update,
+                       [this](Bytes& out) { service_->append_snapshot(out); });
+  broadcast_wire(std::move(wire));
 
   respond_to_all(req);
 }
@@ -184,18 +186,20 @@ void PbReplica::respond_many(const RequestState& req,
   if (recipients.empty()) return;
   // The Response signature covers the requester-blanked core, so every
   // recipient shares one HMAC: sign once, splice the requester into each
-  // wire copy (SignedResponseTemplate).
-  Message core;
+  // wire copy (SignedResponseTemplate, rebuilt in place from borrowed
+  // fields).
+  MessageFields core;
   core.type = MsgType::Response;
   core.view = view_;
   core.seq = applied_seq_;
   core.sender_index = config_.index;
-  core.request_id = req.rid;
+  core.client = req.rid.client;
+  core.rid_seq = req.rid.seq;
   core.payload = req.response;
-  const SignedResponseTemplate tmpl(core, key_);
+  response_template_.rebuild(core, key_);
   for (net::HostId to : recipients) {
     Bytes wire = network_.acquire_buffer();
-    tmpl.emit_into(wire, network_.address_of(to));
+    response_template_.emit_into(wire, network_.address_of(to));
     network_.send(id_, to, std::move(wire));
   }
 }

@@ -14,9 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -91,7 +89,8 @@ class PbReplica final : public osl::Application {
   void respond_many(const RequestState& req,
                     std::span<const net::HostId> recipients);
   void broadcast(const Message& msg);
-  void send_to(net::HostId to, const Message& msg);
+  /// Send pooled copies of an encoded message to every peer, then recycle.
+  void broadcast_wire(Bytes wire);
   void check_failover();
   void send_heartbeat();
   void adopt_view(std::uint64_t view);
@@ -119,6 +118,8 @@ class PbReplica final : public osl::Application {
   /// Completed requests (dedup + re-reply cache) and their requesters,
   /// hashed on (client, seq) and probed with borrowed MessageView keys.
   RequestTable<RequestState> requests_;
+  /// Re-signed per response; its buffer keeps its capacity across requests.
+  SignedResponseTemplate response_template_;
 
   sim::PeriodicTimer heartbeat_timer_;
   sim::PeriodicTimer failover_timer_;

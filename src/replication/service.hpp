@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,11 +30,24 @@ class Service {
   virtual Bytes execute(BytesView request) = 0;
 
   /// Serialize the full service state.
-  virtual Bytes snapshot() const = 0;
+  Bytes snapshot() const {
+    Bytes out;
+    append_snapshot(out);
+    return out;
+  }
 
-  /// Replace the state with a previously produced snapshot.
+  /// Append the serialized state to `out` — the form the primary's state
+  /// update uses to write it straight into a wire buffer.
+  virtual void append_snapshot(Bytes& out) const = 0;
+
+  /// Replace the state with a previously produced snapshot. Throws
+  /// std::out_of_range on a truncated snapshot, leaving the state as it was.
   virtual void restore(BytesView snapshot) = 0;
 };
+
+/// The string map behind the map-based services; the transparent order lets
+/// commands look keys up by borrowed token.
+using StringMap = std::map<std::string, std::string, std::less<>>;
 
 /// Marker base for services that satisfy the DSM requirement: execute() is a
 /// deterministic function of (state, request). SMR replicas contract-check
@@ -47,20 +61,20 @@ class DeterministicService : public Service {};
 class KvService final : public DeterministicService {
  public:
   Bytes execute(BytesView request) override;
-  Bytes snapshot() const override;
+  void append_snapshot(Bytes& out) const override;
   void restore(BytesView snapshot) override;
 
   std::size_t size() const { return data_.size(); }
 
  private:
-  std::map<std::string, std::string> data_;
+  StringMap data_;
 };
 
 /// A deterministic counter: "INC", "ADD <n>", "GET" -> "COUNT <n>".
 class CounterService final : public DeterministicService {
  public:
   Bytes execute(BytesView request) override;
-  Bytes snapshot() const override;
+  void append_snapshot(Bytes& out) const override;
   void restore(BytesView snapshot) override;
 
   std::int64_t value() const { return value_; }
@@ -79,12 +93,12 @@ class SessionTokenService final : public Service {
   explicit SessionTokenService(std::uint64_t seed) : rng_(seed) {}
 
   Bytes execute(BytesView request) override;
-  Bytes snapshot() const override;
+  void append_snapshot(Bytes& out) const override;
   void restore(BytesView snapshot) override;
 
  private:
   Rng rng_;
-  std::map<std::string, std::string> tokens_;
+  StringMap tokens_;
 };
 
 }  // namespace fortress::replication

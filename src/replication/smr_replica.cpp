@@ -322,18 +322,20 @@ void SmrReplica::respond_many(const RequestState& req,
   if (recipients.empty()) return;
   // The Response signature covers the requester-blanked core, so every
   // recipient shares one HMAC: sign once, splice the requester into each
-  // wire copy (SignedResponseTemplate).
-  Message core;
+  // wire copy (SignedResponseTemplate, rebuilt in place from borrowed
+  // fields).
+  MessageFields core;
   core.type = MsgType::Response;
   core.view = view_;
   core.seq = executed_seq_;
   core.sender_index = config_.index;
-  core.request_id = req.rid;
+  core.client = req.rid.client;
+  core.rid_seq = req.rid.seq;
   core.payload = req.response;
-  const SignedResponseTemplate tmpl(core, key_);
+  response_template_.rebuild(core, key_);
   for (net::HostId to : recipients) {
     Bytes wire = network_.acquire_buffer();
-    tmpl.emit_into(wire, network_.address_of(to));
+    response_template_.emit_into(wire, network_.address_of(to));
     network_.send(id_, to, std::move(wire));
   }
 }

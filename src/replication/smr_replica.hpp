@@ -171,6 +171,8 @@ class SmrReplica final : public osl::Application {
   /// MessageView keys — no allocation, no rb-tree string walks.
   RequestTable<RequestState> requests_;
   std::size_t pending_count_ = 0;  ///< records with pending == true
+  /// Re-signed per response; its buffer keeps its capacity across requests.
+  SignedResponseTemplate response_template_;
 
   /// View-change votes: view -> voter indices.
   std::map<std::uint64_t, std::set<std::uint32_t>> view_votes_;

@@ -373,8 +373,11 @@ void Simulator::reset(SchedulerKind kind) {
 void PeriodicTimer::arm(Time delay) {
   pending_ = sim_.schedule_after(delay, [this] {
     if (!running_) return;
+    // This event has fired: clear its id so a stop(); start(); inside fn_
+    // is visible below as a fresh arm, which then replaces the re-arm.
+    pending_ = 0;
     fn_();
-    if (running_) arm(period_);
+    if (running_ && pending_ == 0) arm(period_);
   });
 }
 

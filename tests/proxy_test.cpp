@@ -169,6 +169,47 @@ TEST_F(ProxyTest, OnlyOneResponsePerClientPerRequest) {
   EXPECT_EQ(proxy_->stats().responses_delivered, 1u);
 }
 
+/// A client endpoint that also appends its address to a shared log on each
+/// response — the delivery order across clients.
+class LoggingClient : public ClientEndpoint {
+ public:
+  LoggingClient(net::Network& net, net::Address addr,
+                std::vector<net::Address>& log)
+      : ClientEndpoint(net, std::move(addr)), log_(log) {}
+
+  void on_message(const net::Envelope& env) override {
+    log_.push_back(address());
+    ClientEndpoint::on_message(env);
+  }
+
+ private:
+  std::vector<net::Address>& log_;
+};
+
+TEST_F(ProxyTest, AnswersClientsOfOneRequestInAscendingHostOrder) {
+  boot_and_start();
+  // Host ids are assigned at attach: c-z < c-a < c-m. The clients ask in
+  // yet another order; the proxy answers in ascending id order.
+  std::vector<net::Address> log;
+  LoggingClient z(net_, "c-z", log);
+  LoggingClient a(net_, "c-a", log);
+  LoggingClient m(net_, "c-m", log);
+  const RequestId rid{"shared", 1};
+  m.send_request(rid, "PUT s 1", "proxy-0");
+  a.send_request(rid, "PUT s 1", "proxy-0");
+  z.send_request(rid, "PUT s 1", "proxy-0");
+  sim_.run_until(sim_.now() + 40.0);
+  EXPECT_EQ(log, (std::vector<net::Address>{"c-z", "c-a", "c-m"}));
+
+  // A late asker of the same request is answered alone, once.
+  LoggingClient late(net_, "c-late", log);
+  late.send_request(rid, "PUT s 1", "proxy-0");
+  sim_.run_until(sim_.now() + 40.0);
+  EXPECT_EQ(log,
+            (std::vector<net::Address>{"c-z", "c-a", "c-m", "c-late"}));
+  EXPECT_EQ(proxy_->stats().responses_delivered, 4u);
+}
+
 TEST_F(ProxyTest, MalformedRequestsAreLoggedNotForwarded) {
   boot_and_start();
   ClientEndpoint attacker(net_, "attacker");

@@ -148,16 +148,6 @@ TEST(RequestIdTest, OrderingAndFormat) {
   EXPECT_EQ(a.to_string(), "alice#1");
 }
 
-TEST(RequestIdTest, TransparentLessMatchesRequestIdOrder) {
-  RequestIdLess less;
-  RequestId a{"alice", 1}, b{"alice", 2}, c{"bob", 0};
-  EXPECT_TRUE(less(a, b));
-  EXPECT_TRUE(less(a, RequestKeyRef{"alice", 2}));
-  EXPECT_TRUE(less(RequestKeyRef{"alice", 1}, c));
-  EXPECT_FALSE(less(RequestKeyRef{"bob", 0}, c));
-  EXPECT_FALSE(less(c, RequestKeyRef{"bob", 0}));
-}
-
 // --- MessageView ------------------------------------------------------------
 
 TEST(MessageViewTest, PeekReadsFixedHeader) {
@@ -408,6 +398,67 @@ TEST(SignedResponseTemplateTest, EmitMatchesSignEachCopy) {
       EXPECT_TRUE(verify_message(*view, registry));
     }
   }
+}
+
+TEST(SignedResponseTemplateTest, RebuiltTemplateMatchesFreshAndSignEachCopy) {
+  // EmitMatchesSignEachCopy for a template rebuilt in place, core after
+  // core, the way a replica keeps one: longer and shorter payloads, a
+  // longer client name, a ProxyResponse and back, and an aux field.
+  crypto::KeyRegistry registry(7);
+  crypto::SigningKey server = registry.enroll("server-0");
+
+  std::vector<Message> cores;
+  Message core = sample();
+  core.type = MsgType::Response;
+  cores.push_back(core);
+  core.payload = bytes_of(std::string(300, 'p'));  // longer payload
+  core.seq = 43;
+  cores.push_back(core);
+  core.payload.clear();  // shorter payload
+  core.request_id = RequestId{"a-client-with-a-much-longer-name", 20};
+  cores.push_back(core);
+  core.type = MsgType::ProxyResponse;
+  core.payload = bytes_of("relabeled");
+  cores.push_back(core);
+  core.type = MsgType::Response;
+  core.aux.clear();
+  core.request_id = RequestId{"c", 1};
+  cores.push_back(core);
+
+  SignedResponseTemplate reused;
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    reused.rebuild(cores[i].fields(), server);
+    const SignedResponseTemplate fresh(cores[i], server);
+    for (const std::string& requester :
+         {std::string("client-a"), std::string("a-much-longer-requester-name"),
+          std::string()}) {
+      Bytes from_reused = bytes_of("stale pooled-buffer contents");
+      reused.emit_into(from_reused, requester);
+      Bytes from_fresh;
+      fresh.emit_into(from_fresh, requester);
+      EXPECT_EQ(from_reused, from_fresh) << "core " << i;
+
+      Message reference = cores[i];
+      reference.requester = requester;
+      sign_message(reference, server);
+      EXPECT_EQ(from_reused, reference.encode()) << "core " << i;
+
+      auto view = MessageView::decode(from_reused);
+      ASSERT_TRUE(view.has_value());
+      EXPECT_TRUE(verify_message(*view, registry));
+    }
+  }
+}
+
+TEST(MessageTest, UnsignedEncodingWithInPlaceAuxMatchesEncode) {
+  Message m = sample();
+  Bytes out = bytes_of("stale pooled-buffer contents");
+  encode_unsigned_into(out, m.fields(),
+                       [&](Bytes& wire) { append(wire, m.aux); });
+  EXPECT_EQ(out, m.encode());
+  m.aux.clear();
+  encode_unsigned_into(out, m.fields(), [](Bytes&) {});
+  EXPECT_EQ(out, m.encode());
 }
 
 TEST(SignedResponseTemplateTest, EmitReplacesBufferContents) {

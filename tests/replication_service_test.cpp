@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <locale>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
 
 namespace fortress::replication {
@@ -110,6 +119,159 @@ TEST(SessionTokenServiceTest, StateShippingResolvesNonDeterminism) {
   std::string token = reply.substr(6);
   backup.restore(primary.snapshot());
   EXPECT_EQ(run(backup, "CHECK alice " + token), "VALID");
+}
+
+// --- snapshot restore ---------------------------------------------------
+
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+/// A map snapshot holding `entries` in the given order (the services
+/// always write sorted, unique keys; tests also craft other orders).
+Bytes snapshot_of(const Entries& entries) {
+  Bytes out;
+  append_u64_be(out, entries.size());
+  for (const auto& [k, v] : entries) {
+    append_u64_be(out, k.size());
+    append(out, k);
+    append_u64_be(out, v.size());
+    append(out, v);
+  }
+  return out;
+}
+
+/// What restoring `entries` must produce, by the rebuild rule: insert in
+/// snapshot order, the first of duplicate keys wins.
+Bytes rebuilt_snapshot(const Entries& entries) {
+  std::map<std::string, std::string> m;
+  for (const auto& [k, v] : entries) m.emplace(k, v);
+  return snapshot_of(Entries(m.begin(), m.end()));
+}
+
+/// Both map-based services, behind one factory each.
+std::vector<std::function<std::unique_ptr<Service>()>> map_services() {
+  return {[] { return std::make_unique<KvService>(); },
+          [] { return std::make_unique<SessionTokenService>(5); }};
+}
+
+TEST(MapServiceRestoreTest, InPlaceRestoreEqualsFreshRestore) {
+  const Entries before = {{"b", "2"}, {"d", "a-long-value-4"}, {"f", "6"}};
+  const std::vector<Entries> targets = {
+      {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "a-long-value-4"},
+       {"e", "5"}, {"f", "6"}, {"g", "7"}},              // extra keys
+      {{"b", "two"}, {"d", "4"}, {"f", "six-but-longer"}},  // changed values
+      {{"d", "a-long-value-4"}},                            // fewer keys
+      {{"a", "1"}, {"c", "3"}, {"e", "5"}},                 // disjoint keys
+      {},                                                   // empty
+  };
+  for (const auto& make : map_services()) {
+    for (const Entries& target : targets) {
+      const Bytes snap = snapshot_of(target);
+      auto in_place = make();
+      in_place->restore(snapshot_of(before));
+      in_place->restore(snap);
+      auto fresh = make();
+      fresh->restore(snap);
+      EXPECT_EQ(in_place->snapshot(), fresh->snapshot());
+      EXPECT_EQ(in_place->snapshot(), snap);
+    }
+  }
+}
+
+TEST(MapServiceRestoreTest, InPlaceRestoreServesTheRestoredState) {
+  KvService kv;
+  run(kv, "PUT a old");
+  run(kv, "PUT z gone");
+  kv.restore(snapshot_of({{"a", "new"}, {"m", "mid"}}));
+  EXPECT_EQ(run(kv, "GET a"), "VALUE new");
+  EXPECT_EQ(run(kv, "GET m"), "VALUE mid");
+  EXPECT_EQ(run(kv, "GET z"), "NOTFOUND");
+  EXPECT_EQ(kv.size(), 2u);
+}
+
+TEST(MapServiceRestoreTest, UnsortedAndDuplicateKeysRebuildFirstWins) {
+  const std::vector<Entries> odd = {
+      {{"b", "2"}, {"a", "1"}},                           // out of order
+      {{"a", "first"}, {"a", "second"}, {"c", "3"}},       // duplicate
+      {{"c", "3"}, {"a", "1"}, {"c", "late"}, {"b", "2"}},  // both
+  };
+  for (const auto& make : map_services()) {
+    for (const Entries& entries : odd) {
+      auto svc = make();
+      svc->restore(snapshot_of({{"a", "x"}, {"q", "y"}}));
+      svc->restore(snapshot_of(entries));
+      EXPECT_EQ(svc->snapshot(), rebuilt_snapshot(entries));
+    }
+  }
+}
+
+TEST(MapServiceRestoreTest, TruncatedSnapshotThrowsAndKeepsState) {
+  const Bytes before = snapshot_of({{"k1", "v1"}, {"k3", "v3"}});
+  // Every strict prefix of a valid snapshot is truncated; so is a snapshot
+  // whose length field overruns the buffer.
+  const Bytes target = snapshot_of({{"k1", "new"}, {"k2", "v2"}});
+  std::vector<Bytes> bad;
+  for (std::size_t n = 0; n < target.size(); ++n) {
+    bad.emplace_back(target.begin(),
+                     target.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  Bytes overrun;
+  append_u64_be(overrun, 1);
+  append_u64_be(overrun, 1000);
+  append(overrun, std::string_view("short"));
+  bad.push_back(overrun);
+  for (const auto& make : map_services()) {
+    for (const Bytes& snap : bad) {
+      auto svc = make();
+      svc->restore(before);
+      EXPECT_THROW(svc->restore(snap), std::out_of_range)
+          << "snapshot of " << snap.size() << " bytes";
+      EXPECT_EQ(svc->snapshot(), before);
+    }
+  }
+}
+
+// --- request tokenizing ----------------------------------------------------
+
+/// The reference split: what `std::istringstream >> std::string` yields
+/// under the classic "C" locale, re-joined with single spaces.
+std::string canonical(const std::string& request) {
+  std::istringstream in(request);
+  in.imbue(std::locale::classic());
+  std::string out, tok;
+  while (in >> tok) out += (out.empty() ? "" : " ") + tok;
+  return out;
+}
+
+TEST(KvServiceTest, MixedWhitespaceRequestsMatchTheStreamSplit) {
+  struct Case {
+    std::string request;
+    std::string reply;
+  };
+  const std::vector<Case> cases = {
+      {"PUT a 1", "OK"},
+      {"\tPUT  b\n2 ", "OK"},
+      {"PUT\vc\f3\r", "OK"},
+      {"  GET\t\ta  ", "VALUE 1"},
+      {"GET b", "VALUE 2"},
+      {"\r\nGET c\n", "VALUE 3"},
+      {"PUT d 4 trailing tokens", "OK"},
+      {"GET d", "VALUE 4"},
+      {"   SIZE   ", "SIZE 4"},
+      {"\n\t\v\f\r ", "ERR empty"},
+      {"", "ERR empty"},
+      {std::string("PUT\0 e 5", 8), "ERR bad-command"},  // NUL is not space
+      {"PUT\xa0" "f 6", "ERR bad-command"},  // nor is a high byte
+      {"DEL\ta", "OK"},
+      {"GET a", "NOTFOUND"},
+      {"PUT onlykey", "ERR bad-command"},
+  };
+  KvService raw, reference;
+  for (const Case& c : cases) {
+    EXPECT_EQ(run(raw, c.request), c.reply) << "request '" << c.request << "'";
+    EXPECT_EQ(run(reference, canonical(c.request)), c.reply)
+        << "canonical '" << canonical(c.request) << "'";
+  }
+  EXPECT_EQ(raw.snapshot(), reference.snapshot());
 }
 
 }  // namespace

@@ -419,6 +419,28 @@ TEST(PeriodicTimerTest, StopFromWithinCallback) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(PeriodicTimerTest, RestartInsideCallbackFiresOncePerPeriod) {
+  // A callback that restarts its own timer must leave exactly one arm
+  // pending: the restart's, not the restart's plus the automatic re-arm.
+  Simulator sim;
+  std::vector<Time> fires;
+  PeriodicTimer timer(sim, 1.0, [&] {
+    fires.push_back(sim.now());
+    if (fires.size() % 3 == 1) {
+      timer.stop();
+      timer.start();
+    }
+  });
+  timer.start();
+  sim.run_until(10.5);
+  const std::vector<Time> expected = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(fires, expected);
+  EXPECT_TRUE(timer.running());
+  timer.stop();
+  sim.run_until(20.0);
+  EXPECT_EQ(fires.size(), expected.size());
+}
+
 TEST(PeriodicTimerTest, ZeroPeriodViolatesContract) {
   Simulator sim;
   EXPECT_THROW(PeriodicTimer(sim, 0.0, [] {}), ContractViolation);
