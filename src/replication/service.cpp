@@ -103,9 +103,10 @@ void for_each_entry(BytesView data, Visit&& visit) {
 /// Make `m` hold exactly the snapshot's entries. The whole snapshot is
 /// validated first, so a truncated one throws with `m` untouched. A
 /// snapshot with strictly ascending keys (what append_map writes) is merged
-/// in place: surviving nodes and value strings are reused, and a removed
-/// node is recycled for the next inserted key. Any other snapshot is
-/// rebuilt as a new map, where the first of duplicate keys wins.
+/// in place: surviving nodes and value strings are reused, keys missing
+/// from the snapshot are erased and new keys inserted at their position.
+/// Any other snapshot is rebuilt as a new map, where the first of duplicate
+/// keys wins.
 void restore_map(StringMap& m, BytesView data) {
   bool ascending = true;
   std::optional<std::string_view> prev;
@@ -122,22 +123,11 @@ void restore_map(StringMap& m, BytesView data) {
     return;
   }
   auto it = m.begin();
-  StringMap::node_type spare;
   for_each_entry(data, [&](std::string_view key, std::string_view value) {
-    while (it != m.end() && it->first < key) {
-      if (spare.empty()) {
-        spare = m.extract(it++);
-      } else {
-        it = m.erase(it);
-      }
-    }
+    while (it != m.end() && it->first < key) it = m.erase(it);
     if (it != m.end() && it->first == key) {
       it->second.assign(value);
       ++it;
-    } else if (!spare.empty()) {
-      spare.key().assign(key);
-      spare.mapped().assign(value);
-      m.insert(it, std::move(spare));
     } else {
       m.emplace_hint(it, key, value);
     }
