@@ -75,11 +75,6 @@ std::int64_t Value::as_i64(const std::string& ctx) const {
   return v;
 }
 
-const std::string& Value::number_lexeme(const std::string& ctx) const {
-  if (kind_ != Kind::Number) type_fail(ctx, "number", kind_);
-  return str_;
-}
-
 const std::string& Value::as_string(const std::string& ctx) const {
   if (kind_ != Kind::String) type_fail(ctx, "string", kind_);
   return str_;
@@ -477,11 +472,6 @@ void Writer::value_null() {
   raw("null");
 }
 
-void Writer::value_raw_number(std::string_view lexeme) {
-  prefix();
-  raw(lexeme);
-}
-
 void Writer::quoted(std::string_view s) {
   out_.push_back('"');
   for (char c : s) {
@@ -522,36 +512,6 @@ std::string Writer::format_double(double d) {
   // to_chars shortest form may be integral ("3"); keep it — the parser
   // keeps the raw lexeme, so round-trips stay byte-identical.
   return s;
-}
-
-void reemit(Writer& w, const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::Null:
-      w.value_null();
-      break;
-    case Value::Kind::Bool:
-      w.value(v.as_bool(""));
-      break;
-    case Value::Kind::Number:
-      w.value_raw_number(v.number_lexeme(""));
-      break;
-    case Value::Kind::String:
-      w.value(std::string_view(v.as_string("")));
-      break;
-    case Value::Kind::Array:
-      w.begin_array();
-      for (const Value& it : v.as_array("")) reemit(w, it);
-      w.end_array();
-      break;
-    case Value::Kind::Object:
-      w.begin_object();
-      for (const auto& [k, m] : v.members("")) {
-        w.key(k);
-        reemit(w, m);
-      }
-      w.end_object();
-      break;
-  }
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

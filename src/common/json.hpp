@@ -49,16 +49,14 @@ class Value {
   bool is_string() const { return kind_ == Kind::String; }
   bool is_bool() const { return kind_ == Kind::Bool; }
 
-  /// Typed accessors. `ctx` names the field in error messages ("faults[2].at").
+  /// Typed accessors. `ctx` names the field in error messages, which read
+  /// "<ctx>: <problem>" ("faults[2].at: expected number, got string").
   bool as_bool(const std::string& ctx) const;
   double as_double(const std::string& ctx) const;
   /// Re-parses the raw number lexeme as an unsigned integer; rejects
   /// fractions, exponents, negatives and doubles-only lexemes.
   std::uint64_t as_u64(const std::string& ctx) const;
   std::int64_t as_i64(const std::string& ctx) const;
-  /// The number's raw source lexeme ("1024", "0.1", "1e-09") — lets
-  /// re-emitters preserve integer values beyond double precision.
-  const std::string& number_lexeme(const std::string& ctx) const;
   const std::string& as_string(const std::string& ctx) const;
   const std::vector<Value>& as_array(const std::string& ctx) const;
 
@@ -115,9 +113,6 @@ class Writer {
   void value(int i);
   void value(std::string_view s);
   void value_null();
-  /// Emits a number lexeme verbatim (caller guarantees it is a valid JSON
-  /// number — typically one handed back by Value::number_lexeme).
-  void value_raw_number(std::string_view lexeme);
 
   /// The finished document. Precondition: all containers closed.
   std::string str() const;
@@ -137,12 +132,6 @@ class Writer {
   std::vector<bool> has_item_;
   bool pending_key_ = false;
 };
-
-/// Re-emit a parsed Value through `w` verbatim: numbers keep their raw
-/// lexemes (u64 fields never pass through a double), member order is
-/// preserved. This is how a wrapper document (corpus entry, campaign spec)
-/// hands an embedded subtree to a strict sub-codec that only takes text.
-void reemit(Writer& w, const Value& v);
 
 /// FNV-1a 64-bit over a byte string — the digest primitive the plan codec
 /// and corpus fixtures use (offset basis 14695981039346656037, prime

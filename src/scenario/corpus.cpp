@@ -1,153 +1,64 @@
 #include "scenario/corpus.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <cstring>
 
-#include "common/json.hpp"
-#include "scenario/campaign.hpp"
+#include "scenario/codec.hpp"
 #include "scenario/plan_codec.hpp"
 
 namespace fortress::scenario {
 
-namespace {
-
 using json::ParseError;
-using json::reemit;
-using json::Value;
-using json::Writer;
 
 constexpr const char* kSchemaTag = "fortress-scenario-v1";
 
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+template <class V>
+void describe(V& v, CorpusGoldenCell& g) {
+  v.field("system", g.system);
+  v.field("trials", g.trials);
+  v.field("compromised", g.compromised);
+  v.field("censored", g.censored);
+  v.field("lifetime_mean_bits", Hex{g.lifetime_mean_bits});
+  v.field("direct_probes", g.direct_probes);
+  v.field("indirect_probes", g.indirect_probes);
+  v.field("events_executed", g.events_executed);
+  v.field("blacklisted_sources", g.blacklisted_sources);
+  v.field("traffic_fingerprint", Hex{g.traffic_fingerprint});
+  v.field("population_fingerprint", Hex{g.population_fingerprint});
 }
 
-std::uint64_t parse_hex64(const std::string& s, const std::string& ctx) {
-  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(ctx + ": expected \"0x\" + 16 hex digits, got \"" + s +
-                     "\"");
-  }
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(ctx + ": invalid hex literal \"" + s + "\"");
-  }
-  return v;
+template <class V>
+void describe(V& v, CorpusEntry& e) {
+  v.field("schema", Tag{kSchemaTag});
+  v.field("name", e.name);
+  v.field("description", e.description);
+  v.field("base_seed", e.base_seed);
+  v.field("trials_per_cell", e.trials_per_cell);
+  v.field("systems", e.systems);
+  v.field("digest", e.digest);
+  v.field("plan", e.plan);
+  v.field("golden", e.golden);
 }
-
-}  // namespace
 
 model::SystemKind system_kind_from_string(const std::string& s,
                                           const std::string& ctx) {
-  if (s == "S0") return model::SystemKind::S0;
-  if (s == "S1") return model::SystemKind::S1;
-  if (s == "S2") return model::SystemKind::S2;
-  throw ParseError(ctx + ": unknown system \"" + s + "\" (want S0|S1|S2)");
+  return parse_enum<model::SystemKind>(s, ctx);
 }
 
 CorpusEntry corpus_entry_from_json(std::string_view text) {
-  const Value root = json::parse(text);
-  const std::string ctx = "corpus entry";
-  const auto& members = root.members(ctx);
-
-  // Strict key set, canonical order NOT required on load (re-encode
-  // byte-identity is checked separately by check_corpus_entry).
-  static constexpr const char* kKeys[] = {
-      "schema", "name",   "description", "base_seed", "trials_per_cell",
-      "systems", "digest", "plan",       "golden"};
-  for (const auto& [k, v] : members) {
-    bool known = false;
-    for (const char* key : kKeys) known = known || (k == key);
-    if (!known) throw ParseError(ctx + ": unknown key \"" + k + "\"");
-  }
-
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
-  if (schema != kSchemaTag) {
-    throw ParseError(ctx + ".schema: expected \"" + kSchemaTag + "\", got \"" +
-                     schema + "\"");
-  }
-
   CorpusEntry e;
-  e.name = root.required("name", ctx).as_string(ctx + ".name");
-  e.description =
-      root.required("description", ctx).as_string(ctx + ".description");
-  e.base_seed = root.required("base_seed", ctx).as_u64(ctx + ".base_seed");
-  e.trials_per_cell =
-      root.required("trials_per_cell", ctx).as_u64(ctx + ".trials_per_cell");
+  decode(json::parse(text), "corpus entry", e);
+  const std::string ctx = "corpus entry";
   if (e.trials_per_cell < 1) {
     throw ParseError(ctx + ".trials_per_cell: must be >= 1");
-  }
-  for (const Value& s :
-       root.required("systems", ctx).as_array(ctx + ".systems")) {
-    e.systems.push_back(system_kind_from_string(
-        s.as_string(ctx + ".systems element"), ctx + ".systems"));
   }
   if (e.systems.empty()) {
     throw ParseError(ctx + ".systems: must list at least one system class");
   }
-  e.digest = root.required("digest", ctx).as_string(ctx + ".digest");
-
-  {
-    // Re-encode just the plan subtree and strict-decode it through the plan
-    // codec, so the plan object obeys exactly the plan_codec contract.
-    // Serialize the parsed subtree back to compact JSON for plan_from_json
-    // (json::reemit keeps number lexemes verbatim, so u64 fields never pass
-    // through a double on the wrapper->plan hop).
-    Writer w(/*compact=*/true);
-    reemit(w, root.required("plan", ctx));
-    e.plan = plan_from_json(w.str());
-  }
-
+  e.plan.validate();
   if (e.plan.name != e.name) {
     throw ParseError(ctx + ": name \"" + e.name +
                      "\" does not match plan.name \"" + e.plan.name + "\"");
   }
-
-  {
-    const std::string gctx = ctx + ".golden";
-    const auto& rows = root.required("golden", ctx).as_array(gctx);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const std::string rctx = gctx + "[" + std::to_string(i) + "]";
-      const Value& row = rows[i];
-      CorpusGoldenCell g;
-      g.system = system_kind_from_string(
-          row.required("system", rctx).as_string(rctx + ".system"), rctx);
-      g.trials = row.required("trials", rctx).as_u64(rctx + ".trials");
-      g.compromised =
-          row.required("compromised", rctx).as_u64(rctx + ".compromised");
-      g.censored = row.required("censored", rctx).as_u64(rctx + ".censored");
-      g.lifetime_mean_bits = parse_hex64(
-          row.required("lifetime_mean_bits", rctx)
-              .as_string(rctx + ".lifetime_mean_bits"),
-          rctx + ".lifetime_mean_bits");
-      g.direct_probes =
-          row.required("direct_probes", rctx).as_u64(rctx + ".direct_probes");
-      g.indirect_probes = row.required("indirect_probes", rctx)
-                              .as_u64(rctx + ".indirect_probes");
-      g.events_executed = row.required("events_executed", rctx)
-                              .as_u64(rctx + ".events_executed");
-      g.blacklisted_sources = row.required("blacklisted_sources", rctx)
-                                  .as_u64(rctx + ".blacklisted_sources");
-      g.traffic_fingerprint = parse_hex64(
-          row.required("traffic_fingerprint", rctx)
-              .as_string(rctx + ".traffic_fingerprint"),
-          rctx + ".traffic_fingerprint");
-      g.population_fingerprint = parse_hex64(
-          row.required("population_fingerprint", rctx)
-              .as_string(rctx + ".population_fingerprint"),
-          rctx + ".population_fingerprint");
-      if (row.members(rctx).size() != 11) {
-        throw ParseError(rctx + ": unexpected extra keys");
-      }
-      e.golden.push_back(g);
-    }
-  }
-
   if (!e.golden.empty() && e.golden.size() != e.systems.size()) {
     throw ParseError(ctx + ": golden has " + std::to_string(e.golden.size()) +
                      " rows but systems lists " +
@@ -157,77 +68,7 @@ CorpusEntry corpus_entry_from_json(std::string_view text) {
 }
 
 std::string corpus_entry_to_json(const CorpusEntry& entry) {
-  Writer w(/*compact=*/false);
-  w.begin_object();
-  w.key("schema");
-  w.value(std::string_view(kSchemaTag));
-  w.key("name");
-  w.value(std::string_view(entry.name));
-  w.key("description");
-  w.value(std::string_view(entry.description));
-  w.key("base_seed");
-  w.value(entry.base_seed);
-  w.key("trials_per_cell");
-  w.value(entry.trials_per_cell);
-  w.key("systems");
-  w.begin_array();
-  for (model::SystemKind s : entry.systems) {
-    w.value(std::string_view(model::to_string(s)));
-  }
-  w.end_array();
-  w.key("digest");
-  w.value(std::string_view(entry.digest));
-  w.key("plan");
-  // Splice the canonical pretty plan encoding, re-indented one level: the
-  // plan codec's layout is the contract, so the wrapper reuses its bytes.
-  {
-    const std::string plan_json = plan_to_json(entry.plan);
-    std::string shifted;
-    shifted.reserve(plan_json.size() + 64);
-    for (char c : plan_json) {
-      shifted.push_back(c);
-      if (c == '\n') shifted.append("  ");
-    }
-    // Writer has no raw-splice API on purpose (canonical layout); emit via
-    // a placeholder then substitute below.
-    w.value(std::string_view("\x01plan\x01"));
-    w.key("golden");
-    w.begin_array();
-    for (const CorpusGoldenCell& g : entry.golden) {
-      w.begin_object();
-      w.key("system");
-      w.value(std::string_view(model::to_string(g.system)));
-      w.key("trials");
-      w.value(g.trials);
-      w.key("compromised");
-      w.value(g.compromised);
-      w.key("censored");
-      w.value(g.censored);
-      w.key("lifetime_mean_bits");
-      w.value(std::string_view(hex64(g.lifetime_mean_bits)));
-      w.key("direct_probes");
-      w.value(g.direct_probes);
-      w.key("indirect_probes");
-      w.value(g.indirect_probes);
-      w.key("events_executed");
-      w.value(g.events_executed);
-      w.key("blacklisted_sources");
-      w.value(g.blacklisted_sources);
-      w.key("traffic_fingerprint");
-      w.value(std::string_view(hex64(g.traffic_fingerprint)));
-      w.key("population_fingerprint");
-      w.value(std::string_view(hex64(g.population_fingerprint)));
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    std::string out = w.str();
-    const std::string placeholder = "\"\\u0001plan\\u0001\"";
-    const std::size_t at = out.find(placeholder);
-    out.replace(at, placeholder.size(), shifted);
-    out.push_back('\n');  // committed files end with a newline
-    return out;
-  }
+  return encode(entry, /*compact=*/false) + '\n';  // files end with a newline
 }
 
 std::vector<CorpusGoldenCell> capture_corpus_golden(const CorpusEntry& entry) {

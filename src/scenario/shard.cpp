@@ -1,12 +1,9 @@
 #include "scenario/shard.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <cstring>
+#include <numeric>
 
 #include "common/check.hpp"
-#include "common/json.hpp"
-#include "scenario/corpus.hpp"
+#include "scenario/codec.hpp"
 #include "scenario/plan_codec.hpp"
 
 namespace fortress::scenario {
@@ -14,535 +11,194 @@ namespace fortress::scenario {
 namespace {
 
 using json::ParseError;
-using json::reemit;
-using json::Value;
-using json::Writer;
 
 constexpr const char* kSpecSchema = "fortress-campaign-v1";
 constexpr const char* kShardSchema = "fortress-campaign-shard-v1";
 constexpr const char* kResultSchema = "fortress-campaign-result-v1";
 
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+}  // namespace
 
-std::uint64_t parse_hex64(const std::string& s, const std::string& ctx) {
-  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(ctx + ": expected \"0x\" + 16 hex digits, got \"" + s +
-                     "\"");
-  }
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(ctx + ": invalid hex literal \"" + s + "\"");
-  }
-  return v;
-}
-
-// Doubles cross the sidecar as bit patterns, never as decimal text: the
-// merge's bit-identity contract has no room for a parse round-trip to be
+// --- Field lists -----------------------------------------------------------
+//
+// Doubles cross the sidecar as bit patterns (Bits), never as decimal text:
+// the merge's bit-identity contract has no room for a parse round-trip to be
 // "close". (Shortest round-trip formatting would in fact round-trip too,
 // but bits make the intent unmissable and survive any future formatter.)
-std::string double_bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof d);
-  return hex64(u);
+
+template <class V>
+void describe(V& v, StoppingRule& r) {
+  v.field("metric", r.metric);
+  v.field("quantile", r.quantile);
+  v.field("target_rel", r.target_rel);
+  v.field("abs_floor", r.abs_floor);
 }
 
-double bits_double(const std::string& s, const std::string& ctx) {
-  const std::uint64_t u = parse_hex64(s, ctx);
-  double d = 0.0;
-  std::memcpy(&d, &u, sizeof d);
-  return d;
+template <class V>
+void describe(V& v, AdaptiveConfig& a) {
+  v.field("enabled", a.enabled);
+  v.field("round_trials", a.round_trials);
+  v.field("target_rel_ci", a.target_rel_ci);
+  v.field("abs_ci_floor", a.abs_ci_floor);
+  v.field("max_trials_per_cell", a.max_trials_per_cell);
+  v.field("work_stealing", a.work_stealing);
+  v.field("rules", a.rules);
 }
 
-sim::SchedulerKind scheduler_from_string(const std::string& s,
-                                         const std::string& ctx) {
-  if (s == "wheel") return sim::SchedulerKind::Wheel;
-  if (s == "heap") return sim::SchedulerKind::Heap;
-  throw ParseError(ctx + ": unknown scheduler \"" + s +
-                   "\" (want wheel|heap)");
+template <class V>
+void describe(V& v, CampaignConfig& c) {
+  v.field("base_seed", c.base_seed);
+  v.field("threads", c.threads);
+  v.field("ci_level", c.ci_level);
+  v.field("scheduler", c.scheduler);
+  v.field("reuse_trial_stacks", c.reuse_trial_stacks);
+  v.field("trials_per_cell", c.trials_per_cell);
+  v.field("adaptive", c.adaptive);
 }
 
-const char* metric_to_string(StoppingRule::Metric m) {
-  switch (m) {
-    case StoppingRule::Metric::MeanLifetime:
-      return "mean_lifetime";
-    case StoppingRule::Metric::CompromiseProbability:
-      return "compromise_probability";
-    case StoppingRule::Metric::LatencyQuantile:
-      return "latency_quantile";
-  }
-  return "mean_lifetime";  // unreachable
+template <class V>
+void describe(V& v, CampaignSpec& s) {
+  v.field("schema", Tag{kSpecSchema});
+  v.field("name", s.name);
+  v.field("description", s.description);
+  describe(v, s.config);  // the config's keys sit at the spec's top level
+  v.field("systems", s.systems);
+  v.field("plans", s.plans);
 }
 
-StoppingRule::Metric metric_from_string(const std::string& s,
-                                        const std::string& ctx) {
-  if (s == "mean_lifetime") return StoppingRule::Metric::MeanLifetime;
-  if (s == "compromise_probability") {
-    return StoppingRule::Metric::CompromiseProbability;
-  }
-  if (s == "latency_quantile") return StoppingRule::Metric::LatencyQuantile;
-  throw ParseError(
-      ctx + ": unknown metric \"" + s +
-      "\" (want mean_lifetime|compromise_probability|latency_quantile)");
+template <class V>
+void describe(V& v, ConfidenceInterval& ci) {
+  v.field("lo_bits", Bits{ci.lo});
+  v.field("hi_bits", Bits{ci.hi});
+  v.field("level_bits", Bits{ci.level});
 }
 
-void check_keys(const Value& obj, const std::string& ctx,
-                std::initializer_list<const char*> keys) {
-  for (const auto& [k, v] : obj.members(ctx)) {
-    bool known = false;
-    for (const char* key : keys) known = known || (k == key);
-    if (!known) throw ParseError(ctx + ": unknown key \"" + k + "\"");
-  }
+template <class V>
+void describe(V& v, attack::AttackerStats& a) {
+  v.field("direct_probes", a.direct_probes);
+  v.field("indirect_probes", a.indirect_probes);
+  v.field("crashes_caused", a.crashes_caused);
+  v.field("compromises", a.compromises);
+  v.field("keys_learned", a.keys_learned);
 }
 
-// --- CellStats codec (shared by the sidecar and the result report) --------
-
-void write_histogram(Writer& w, const LatencyHistogram& h) {
-  w.begin_array();
-  for (int b = 0; b < LatencyHistogram::kBins; ++b) w.value(h.bin(b));
-  w.end_array();
+template <class V>
+void describe(V& v, TrafficStats& t) {
+  v.field("offered", t.offered);
+  v.field("completed", t.completed);
+  v.field("timed_out", t.timed_out);
+  v.field("gave_up", t.gave_up);
+  v.field("retries", t.retries);
+  v.field("rejected_responses", t.rejected_responses);
+  v.field("enqueued", t.enqueued);
+  v.field("served", t.served);
+  v.field("shed", t.shed);
+  v.field("backpressured", t.backpressured);
+  v.field("degraded", t.degraded);
+  v.field("dropped_on_reboot", t.dropped_on_reboot);
+  v.field("max_queue_depth", t.max_queue_depth);
+  v.field("goodput_bits", Bits{t.goodput});
+  v.field("latency_bins", t.latency);
 }
 
-LatencyHistogram read_histogram(const Value& v, const std::string& ctx) {
-  const auto& bins = v.as_array(ctx);
-  if (bins.size() != LatencyHistogram::kBins) {
-    throw ParseError(ctx + ": expected " +
-                     std::to_string(LatencyHistogram::kBins) + " bins, got " +
-                     std::to_string(bins.size()));
-  }
-  LatencyHistogram h;
-  for (int b = 0; b < LatencyHistogram::kBins; ++b) {
-    const std::uint64_t n = bins[static_cast<std::size_t>(b)].as_u64(
-        ctx + "[" + std::to_string(b) + "]");
-    if (n > 0) h.add_bin(b, n);
-  }
-  return h;
+template <class V>
+void describe(V& v, core::PopulationStats& p) {
+  v.field("offered", p.offered);
+  v.field("completed", p.completed);
+  v.field("timed_out", p.timed_out);
+  v.field("gave_up", p.gave_up);
+  v.field("retries", p.retries);
+  v.field("rejected_responses", p.rejected_responses);
+  v.field("skipped_busy", p.skipped_busy);
+  v.field("latency_bins", p.latency);
 }
 
-void write_cell(Writer& w, std::uint64_t index, const CellStats& c) {
-  w.begin_object();
-  w.key("index");
-  w.value(index);
-  w.key("system");
-  w.value(std::string_view(model::to_string(c.system)));
-  w.key("plan_name");
-  w.value(std::string_view(c.plan_name));
-  w.key("trials");
-  w.value(c.trials);
-  w.key("rounds");
-  w.value(c.rounds);
-  w.key("compromised");
-  w.value(c.compromised);
-  w.key("censored");
-  w.value(c.censored);
-  w.key("lifetime");
-  w.begin_object();
-  w.key("count");
-  w.value(c.lifetime.count());
-  w.key("mean_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_mean())));
-  w.key("m2_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_m2())));
-  w.key("min_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_min())));
-  w.key("max_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_max())));
-  w.end_object();
-  w.key("lifetime_ci");
-  w.begin_object();
-  w.key("lo_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.lo)));
-  w.key("hi_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.hi)));
-  w.key("level_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.level)));
-  w.end_object();
-  w.key("attacker");
-  w.begin_object();
-  w.key("direct_probes");
-  w.value(c.attacker.direct_probes);
-  w.key("indirect_probes");
-  w.value(c.attacker.indirect_probes);
-  w.key("crashes_caused");
-  w.value(c.attacker.crashes_caused);
-  w.key("compromises");
-  w.value(c.attacker.compromises);
-  w.key("keys_learned");
-  w.value(c.attacker.keys_learned);
-  w.end_object();
-  w.key("events_executed");
-  w.value(c.events_executed);
-  w.key("blacklisted_sources");
-  w.value(c.blacklisted_sources);
-  w.key("traffic");
-  w.begin_object();
-  w.key("offered");
-  w.value(c.traffic.offered);
-  w.key("completed");
-  w.value(c.traffic.completed);
-  w.key("timed_out");
-  w.value(c.traffic.timed_out);
-  w.key("gave_up");
-  w.value(c.traffic.gave_up);
-  w.key("retries");
-  w.value(c.traffic.retries);
-  w.key("rejected_responses");
-  w.value(c.traffic.rejected_responses);
-  w.key("enqueued");
-  w.value(c.traffic.enqueued);
-  w.key("served");
-  w.value(c.traffic.served);
-  w.key("shed");
-  w.value(c.traffic.shed);
-  w.key("backpressured");
-  w.value(c.traffic.backpressured);
-  w.key("degraded");
-  w.value(c.traffic.degraded);
-  w.key("dropped_on_reboot");
-  w.value(c.traffic.dropped_on_reboot);
-  w.key("max_queue_depth");
-  w.value(c.traffic.max_queue_depth);
-  w.key("goodput_bits");
-  w.value(std::string_view(double_bits(c.traffic.goodput)));
-  w.key("latency_bins");
-  write_histogram(w, c.traffic.latency);
-  w.end_object();
-  w.key("population");
-  w.begin_object();
-  w.key("offered");
-  w.value(c.population.offered);
-  w.key("completed");
-  w.value(c.population.completed);
-  w.key("timed_out");
-  w.value(c.population.timed_out);
-  w.key("gave_up");
-  w.value(c.population.gave_up);
-  w.key("retries");
-  w.value(c.population.retries);
-  w.key("rejected_responses");
-  w.value(c.population.rejected_responses);
-  w.key("skipped_busy");
-  w.value(c.population.skipped_busy);
-  w.key("latency_bins");
-  write_histogram(w, c.population.latency);
-  w.end_object();
-  w.end_object();
+template <class V>
+void describe(V& v, CellStats& c) {
+  v.field("system", c.system);
+  v.field("plan_name", c.plan_name);
+  v.field("trials", c.trials);
+  v.field("rounds", c.rounds);
+  v.field("compromised", c.compromised);
+  v.field("censored", c.censored);
+  v.field("lifetime", c.lifetime);
+  v.field("lifetime_ci", c.lifetime_ci);
+  v.field("attacker", c.attacker);
+  v.field("events_executed", c.events_executed);
+  v.field("blacklisted_sources", c.blacklisted_sources);
+  v.field("traffic", c.traffic);
+  v.field("population", c.population);
 }
 
-std::pair<std::uint64_t, CellStats> read_cell(const Value& row,
-                                              const std::string& ctx) {
-  check_keys(row, ctx,
-             {"index", "system", "plan_name", "trials", "rounds",
-              "compromised", "censored", "lifetime", "lifetime_ci",
-              "attacker", "events_executed", "blacklisted_sources", "traffic",
-              "population"});
-  CellStats c;
-  const std::uint64_t index =
-      row.required("index", ctx).as_u64(ctx + ".index");
-  c.system = system_kind_from_string(
-      row.required("system", ctx).as_string(ctx + ".system"), ctx);
-  c.plan_name =
-      row.required("plan_name", ctx).as_string(ctx + ".plan_name");
-  c.trials = row.required("trials", ctx).as_u64(ctx + ".trials");
-  c.rounds = row.required("rounds", ctx).as_u64(ctx + ".rounds");
-  c.compromised =
-      row.required("compromised", ctx).as_u64(ctx + ".compromised");
-  c.censored = row.required("censored", ctx).as_u64(ctx + ".censored");
-  {
-    const std::string lctx = ctx + ".lifetime";
-    const Value& l = row.required("lifetime", ctx);
-    check_keys(l, lctx,
-               {"count", "mean_bits", "m2_bits", "min_bits", "max_bits"});
-    c.lifetime = RunningStats::from_raw(
-        l.required("count", lctx).as_u64(lctx + ".count"),
-        bits_double(l.required("mean_bits", lctx).as_string(lctx),
-                    lctx + ".mean_bits"),
-        bits_double(l.required("m2_bits", lctx).as_string(lctx),
-                    lctx + ".m2_bits"),
-        bits_double(l.required("min_bits", lctx).as_string(lctx),
-                    lctx + ".min_bits"),
-        bits_double(l.required("max_bits", lctx).as_string(lctx),
-                    lctx + ".max_bits"));
+namespace {
+
+/// One sidecar/report row: the cell's global index, then its stats.
+struct CellRow {
+  std::uint64_t& index;
+  CellStats& stats;
+};
+
+template <class V>
+void describe(V& v, CellRow& r) {
+  v.field("index", r.index);
+  describe(v, r.stats);
+}
+
+/// The rows of a sidecar or report: (index[i], stats[i]) zipped.
+struct CellRows {
+  std::vector<std::uint64_t>& index;
+  std::vector<CellStats>& stats;
+
+  std::size_t size() const { return index.size(); }
+  void resize(std::size_t n) {
+    index.resize(n);
+    stats.resize(n);
   }
-  {
-    const std::string ictx = ctx + ".lifetime_ci";
-    const Value& i = row.required("lifetime_ci", ctx);
-    check_keys(i, ictx, {"lo_bits", "hi_bits", "level_bits"});
-    c.lifetime_ci.lo = bits_double(
-        i.required("lo_bits", ictx).as_string(ictx), ictx + ".lo_bits");
-    c.lifetime_ci.hi = bits_double(
-        i.required("hi_bits", ictx).as_string(ictx), ictx + ".hi_bits");
-    c.lifetime_ci.level = bits_double(
-        i.required("level_bits", ictx).as_string(ictx), ictx + ".level_bits");
-  }
-  {
-    const std::string actx = ctx + ".attacker";
-    const Value& a = row.required("attacker", ctx);
-    check_keys(a, actx,
-               {"direct_probes", "indirect_probes", "crashes_caused",
-                "compromises", "keys_learned"});
-    c.attacker.direct_probes =
-        a.required("direct_probes", actx).as_u64(actx + ".direct_probes");
-    c.attacker.indirect_probes =
-        a.required("indirect_probes", actx).as_u64(actx + ".indirect_probes");
-    c.attacker.crashes_caused =
-        a.required("crashes_caused", actx).as_u64(actx + ".crashes_caused");
-    c.attacker.compromises =
-        a.required("compromises", actx).as_u64(actx + ".compromises");
-    c.attacker.keys_learned =
-        a.required("keys_learned", actx).as_u64(actx + ".keys_learned");
-  }
-  c.events_executed =
-      row.required("events_executed", ctx).as_u64(ctx + ".events_executed");
-  c.blacklisted_sources = row.required("blacklisted_sources", ctx)
-                              .as_u64(ctx + ".blacklisted_sources");
-  {
-    const std::string tctx = ctx + ".traffic";
-    const Value& t = row.required("traffic", ctx);
-    check_keys(t, tctx,
-               {"offered", "completed", "timed_out", "gave_up", "retries",
-                "rejected_responses", "enqueued", "served", "shed",
-                "backpressured", "degraded", "dropped_on_reboot",
-                "max_queue_depth", "goodput_bits", "latency_bins"});
-    c.traffic.offered = t.required("offered", tctx).as_u64(tctx + ".offered");
-    c.traffic.completed =
-        t.required("completed", tctx).as_u64(tctx + ".completed");
-    c.traffic.timed_out =
-        t.required("timed_out", tctx).as_u64(tctx + ".timed_out");
-    c.traffic.gave_up = t.required("gave_up", tctx).as_u64(tctx + ".gave_up");
-    c.traffic.retries = t.required("retries", tctx).as_u64(tctx + ".retries");
-    c.traffic.rejected_responses = t.required("rejected_responses", tctx)
-                                       .as_u64(tctx + ".rejected_responses");
-    c.traffic.enqueued =
-        t.required("enqueued", tctx).as_u64(tctx + ".enqueued");
-    c.traffic.served = t.required("served", tctx).as_u64(tctx + ".served");
-    c.traffic.shed = t.required("shed", tctx).as_u64(tctx + ".shed");
-    c.traffic.backpressured =
-        t.required("backpressured", tctx).as_u64(tctx + ".backpressured");
-    c.traffic.degraded =
-        t.required("degraded", tctx).as_u64(tctx + ".degraded");
-    c.traffic.dropped_on_reboot = t.required("dropped_on_reboot", tctx)
-                                      .as_u64(tctx + ".dropped_on_reboot");
-    c.traffic.max_queue_depth =
-        t.required("max_queue_depth", tctx).as_u64(tctx + ".max_queue_depth");
-    c.traffic.goodput =
-        bits_double(t.required("goodput_bits", tctx).as_string(tctx),
-                    tctx + ".goodput_bits");
-    c.traffic.latency = read_histogram(t.required("latency_bins", tctx),
-                                       tctx + ".latency_bins");
-  }
-  {
-    const std::string pctx = ctx + ".population";
-    const Value& p = row.required("population", ctx);
-    check_keys(p, pctx,
-               {"offered", "completed", "timed_out", "gave_up", "retries",
-                "rejected_responses", "skipped_busy", "latency_bins"});
-    c.population.offered =
-        p.required("offered", pctx).as_u64(pctx + ".offered");
-    c.population.completed =
-        p.required("completed", pctx).as_u64(pctx + ".completed");
-    c.population.timed_out =
-        p.required("timed_out", pctx).as_u64(pctx + ".timed_out");
-    c.population.gave_up =
-        p.required("gave_up", pctx).as_u64(pctx + ".gave_up");
-    c.population.retries =
-        p.required("retries", pctx).as_u64(pctx + ".retries");
-    c.population.rejected_responses = p.required("rejected_responses", pctx)
-                                          .as_u64(pctx +
-                                                  ".rejected_responses");
-    c.population.skipped_busy =
-        p.required("skipped_busy", pctx).as_u64(pctx + ".skipped_busy");
-    c.population.latency = read_histogram(p.required("latency_bins", pctx),
-                                          pctx + ".latency_bins");
-  }
-  return {index, std::move(c)};
+  CellRow operator[](std::size_t i) { return {index[i], stats[i]}; }
+};
+
+/// A report numbers its cells by position.
+struct Report {
+  CampaignResult& result;
+  std::vector<std::uint64_t> index;
+};
+
+template <class V>
+void describe(V& v, Report& r) {
+  v.field("schema", Tag{kResultSchema});
+  v.field("total_trials", r.result.total_trials);
+  v.field("total_events", r.result.total_events);
+  v.field("cells", CellRows{r.index, r.result.cells});
 }
 
 }  // namespace
 
+template <class V>
+void describe(V& v, ShardResult& r) {
+  v.field("schema", Tag{kShardSchema});
+  v.field("shard", r.shard);
+  v.field("n_shards", r.n_shards);
+  v.field("n_cells", r.n_cells);
+  v.field("spec_digest", Hex{r.spec_digest});
+  v.field("cells", CellRows{r.cell_indices, r.cells});
+}
+
 // --- CampaignSpec codec ---------------------------------------------------
 
 std::string campaign_spec_to_json(const CampaignSpec& spec) {
-  Writer w(/*compact=*/false);
-  w.begin_object();
-  w.key("schema");
-  w.value(std::string_view(kSpecSchema));
-  w.key("name");
-  w.value(std::string_view(spec.name));
-  w.key("description");
-  w.value(std::string_view(spec.description));
-  w.key("base_seed");
-  w.value(spec.config.base_seed);
-  w.key("threads");
-  w.value(static_cast<std::uint64_t>(spec.config.threads));
-  w.key("ci_level");
-  w.value(spec.config.ci_level);
-  w.key("scheduler");
-  w.value(std::string_view(sim::to_string(spec.config.scheduler)));
-  w.key("reuse_trial_stacks");
-  w.value(spec.config.reuse_trial_stacks);
-  w.key("trials_per_cell");
-  w.value(spec.config.trials_per_cell);
-  w.key("adaptive");
-  w.begin_object();
-  w.key("enabled");
-  w.value(spec.config.adaptive.enabled);
-  w.key("round_trials");
-  w.value(spec.config.adaptive.round_trials);
-  w.key("target_rel_ci");
-  w.value(spec.config.adaptive.target_rel_ci);
-  w.key("abs_ci_floor");
-  w.value(spec.config.adaptive.abs_ci_floor);
-  w.key("max_trials_per_cell");
-  w.value(spec.config.adaptive.max_trials_per_cell);
-  w.key("work_stealing");
-  w.value(spec.config.adaptive.work_stealing);
-  w.key("rules");
-  w.begin_array();
-  for (const StoppingRule& r : spec.config.adaptive.rules) {
-    w.begin_object();
-    w.key("metric");
-    w.value(std::string_view(metric_to_string(r.metric)));
-    w.key("quantile");
-    w.value(r.quantile);
-    w.key("target_rel");
-    w.value(r.target_rel);
-    w.key("abs_floor");
-    w.value(r.abs_floor);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.key("systems");
-  w.begin_array();
-  for (model::SystemKind s : spec.systems) {
-    w.value(std::string_view(model::to_string(s)));
-  }
-  w.end_array();
-  w.key("plans");
-  w.begin_array();
-  // Splice each plan's canonical pretty encoding (the plan_codec layout is
-  // the contract), re-indented two levels, via the corpus placeholder
-  // idiom: Writer has no raw-splice API on purpose.
-  for (std::size_t i = 0; i < spec.plans.size(); ++i) {
-    w.value(std::string_view("\x01plan" + std::to_string(i) + "\x01"));
-  }
-  w.end_array();
-  w.end_object();
-  std::string out = w.str();
-  for (std::size_t i = 0; i < spec.plans.size(); ++i) {
-    const std::string placeholder =
-        "\"\\u0001plan" + std::to_string(i) + "\\u0001\"";
-    const std::string plan_json = plan_to_json(spec.plans[i]);
-    std::string shifted;
-    shifted.reserve(plan_json.size() + 128);
-    for (char c : plan_json) {
-      shifted.push_back(c);
-      if (c == '\n') shifted.append("    ");
-    }
-    const std::size_t at = out.find(placeholder);
-    FORTRESS_EXPECTS(at != std::string::npos);
-    out.replace(at, placeholder.size(), shifted);
-  }
-  out.push_back('\n');  // committed files end with a newline
-  return out;
+  return encode(spec, /*compact=*/false) + '\n';  // files end with a newline
 }
 
 CampaignSpec campaign_spec_from_json(std::string_view text) {
-  const Value root = json::parse(text);
-  const std::string ctx = "campaign spec";
-  check_keys(root, ctx,
-             {"schema", "name", "description", "base_seed", "threads",
-              "ci_level", "scheduler", "reuse_trial_stacks",
-              "trials_per_cell", "adaptive", "systems", "plans"});
-
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
-  if (schema != kSpecSchema) {
-    throw ParseError(ctx + ".schema: expected \"" + kSpecSchema +
-                     "\", got \"" + schema + "\"");
-  }
-
   CampaignSpec spec;
-  spec.name = root.required("name", ctx).as_string(ctx + ".name");
-  spec.description =
-      root.required("description", ctx).as_string(ctx + ".description");
-  spec.config.base_seed =
-      root.required("base_seed", ctx).as_u64(ctx + ".base_seed");
-  spec.config.threads = static_cast<unsigned>(
-      root.required("threads", ctx).as_u64(ctx + ".threads"));
-  spec.config.ci_level =
-      root.required("ci_level", ctx).as_double(ctx + ".ci_level");
-  spec.config.scheduler = scheduler_from_string(
-      root.required("scheduler", ctx).as_string(ctx + ".scheduler"),
-      ctx + ".scheduler");
-  spec.config.reuse_trial_stacks = root.required("reuse_trial_stacks", ctx)
-                                       .as_bool(ctx + ".reuse_trial_stacks");
-  spec.config.trials_per_cell =
-      root.required("trials_per_cell", ctx).as_u64(ctx + ".trials_per_cell");
-  {
-    const std::string actx = ctx + ".adaptive";
-    const Value& a = root.required("adaptive", ctx);
-    check_keys(a, actx,
-               {"enabled", "round_trials", "target_rel_ci", "abs_ci_floor",
-                "max_trials_per_cell", "work_stealing", "rules"});
-    spec.config.adaptive.enabled =
-        a.required("enabled", actx).as_bool(actx + ".enabled");
-    spec.config.adaptive.round_trials =
-        a.required("round_trials", actx).as_u64(actx + ".round_trials");
-    spec.config.adaptive.target_rel_ci =
-        a.required("target_rel_ci", actx).as_double(actx + ".target_rel_ci");
-    spec.config.adaptive.abs_ci_floor =
-        a.required("abs_ci_floor", actx).as_double(actx + ".abs_ci_floor");
-    spec.config.adaptive.max_trials_per_cell =
-        a.required("max_trials_per_cell", actx)
-            .as_u64(actx + ".max_trials_per_cell");
-    spec.config.adaptive.work_stealing =
-        a.required("work_stealing", actx).as_bool(actx + ".work_stealing");
-    const auto& rules =
-        a.required("rules", actx).as_array(actx + ".rules");
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      const std::string rctx = actx + ".rules[" + std::to_string(i) + "]";
-      const Value& rv = rules[i];
-      check_keys(rv, rctx, {"metric", "quantile", "target_rel", "abs_floor"});
-      StoppingRule r;
-      r.metric = metric_from_string(
-          rv.required("metric", rctx).as_string(rctx + ".metric"),
-          rctx + ".metric");
-      r.quantile =
-          rv.required("quantile", rctx).as_double(rctx + ".quantile");
-      r.target_rel =
-          rv.required("target_rel", rctx).as_double(rctx + ".target_rel");
-      r.abs_floor =
-          rv.required("abs_floor", rctx).as_double(rctx + ".abs_floor");
-      spec.config.adaptive.rules.push_back(r);
-    }
-  }
-  for (const Value& s :
-       root.required("systems", ctx).as_array(ctx + ".systems")) {
-    spec.systems.push_back(system_kind_from_string(
-        s.as_string(ctx + ".systems element"), ctx + ".systems"));
-  }
+  decode(json::parse(text), "campaign spec", spec);
   if (spec.systems.empty()) {
-    throw ParseError(ctx + ".systems: must list at least one system class");
+    throw ParseError(
+        "campaign spec.systems: must list at least one system class");
   }
-  const auto& plans = root.required("plans", ctx).as_array(ctx + ".plans");
-  if (plans.empty()) {
-    throw ParseError(ctx + ".plans: must list at least one plan");
+  if (spec.plans.empty()) {
+    throw ParseError("campaign spec.plans: must list at least one plan");
   }
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    // Re-encode the subtree compactly (reemit keeps number lexemes
-    // verbatim) and strict-decode through the plan codec, so every plan
-    // obeys exactly the plan fixture contract.
-    Writer w(/*compact=*/true);
-    reemit(w, plans[i]);
-    spec.plans.push_back(plan_from_json(w.str()));
-  }
+  for (const net::ScenarioPlan& plan : spec.plans) plan.validate();
   return spec;
 }
 
@@ -644,89 +300,30 @@ CampaignResult merge_shards(const std::vector<ShardResult>& shards) {
 
 std::string shard_result_to_json(const ShardResult& result) {
   FORTRESS_EXPECTS(result.cell_indices.size() == result.cells.size());
-  Writer w(/*compact=*/false);
-  w.begin_object();
-  w.key("schema");
-  w.value(std::string_view(kShardSchema));
-  w.key("shard");
-  w.value(static_cast<std::uint64_t>(result.shard));
-  w.key("n_shards");
-  w.value(static_cast<std::uint64_t>(result.n_shards));
-  w.key("n_cells");
-  w.value(result.n_cells);
-  w.key("spec_digest");
-  w.value(std::string_view(hex64(result.spec_digest)));
-  w.key("cells");
-  w.begin_array();
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    write_cell(w, result.cell_indices[i], result.cells[i]);
-  }
-  w.end_array();
-  w.end_object();
-  std::string out = w.str();
-  out.push_back('\n');
-  return out;
+  return encode(result, /*compact=*/false) + '\n';
 }
 
 ShardResult shard_result_from_json(std::string_view text) {
-  const Value root = json::parse(text);
-  const std::string ctx = "shard result";
-  check_keys(root, ctx,
-             {"schema", "shard", "n_shards", "n_cells", "spec_digest",
-              "cells"});
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
-  if (schema != kShardSchema) {
-    throw ParseError(ctx + ".schema: expected \"" + kShardSchema +
-                     "\", got \"" + schema + "\"");
-  }
   ShardResult r;
-  r.shard = static_cast<std::uint32_t>(
-      root.required("shard", ctx).as_u64(ctx + ".shard"));
-  r.n_shards = static_cast<std::uint32_t>(
-      root.required("n_shards", ctx).as_u64(ctx + ".n_shards"));
-  r.n_cells = root.required("n_cells", ctx).as_u64(ctx + ".n_cells");
-  r.spec_digest = parse_hex64(
-      root.required("spec_digest", ctx).as_string(ctx + ".spec_digest"),
-      ctx + ".spec_digest");
+  decode(json::parse(text), "shard result", r);
   if (r.n_shards < 1 || r.shard >= r.n_shards) {
-    throw ParseError(ctx + ": shard " + std::to_string(r.shard) +
+    throw ParseError("shard result: shard " + std::to_string(r.shard) +
                      " outside n_shards " + std::to_string(r.n_shards));
   }
-  const auto& rows = root.required("cells", ctx).as_array(ctx + ".cells");
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::string rctx = ctx + ".cells[" + std::to_string(i) + "]";
-    auto [index, stats] = read_cell(rows[i], rctx);
-    if (i > 0 && index <= prev) {
-      throw ParseError(rctx + ": cell indices must be strictly ascending");
+  for (std::size_t i = 1; i < r.cell_indices.size(); ++i) {
+    if (r.cell_indices[i] <= r.cell_indices[i - 1]) {
+      throw ParseError("shard result.cells[" + std::to_string(i) +
+                       "]: cell indices must be strictly ascending");
     }
-    prev = index;
-    r.cell_indices.push_back(index);
-    r.cells.push_back(std::move(stats));
   }
   return r;
 }
 
 std::string campaign_result_to_json(const CampaignResult& result) {
-  Writer w(/*compact=*/false);
-  w.begin_object();
-  w.key("schema");
-  w.value(std::string_view(kResultSchema));
-  w.key("total_trials");
-  w.value(result.total_trials);
-  w.key("total_events");
-  w.value(result.total_events);
-  w.key("cells");
-  w.begin_array();
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    write_cell(w, i, result.cells[i]);
-  }
-  w.end_array();
-  w.end_object();
-  std::string out = w.str();
-  out.push_back('\n');
-  return out;
+  Report report{const_cast<CampaignResult&>(result),
+                std::vector<std::uint64_t>(result.cells.size())};
+  std::iota(report.index.begin(), report.index.end(), std::uint64_t{0});
+  return encode(report, /*compact=*/false) + '\n';
 }
 
 }  // namespace fortress::scenario

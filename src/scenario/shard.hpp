@@ -61,8 +61,9 @@ struct CampaignSpec {
 };
 
 /// Canonical encode ("fortress-campaign-v1", the committed-file form).
-/// Plans are spliced in their plan_codec pretty encoding, so a spec file's
-/// plan subtrees obey exactly the plan fixture contract.
+/// Plans are written through the plan codec's field lists at their nesting
+/// depth, so a spec file's plan subtrees obey exactly the plan fixture
+/// contract.
 std::string campaign_spec_to_json(const CampaignSpec& spec);
 
 /// Strict decode: unknown keys, type confusion, duplicate keys, a bad

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/corpus.hpp"
 #include "scenario/plan_codec.hpp"
@@ -115,6 +116,25 @@ TEST(ScenarioCorpusTest, GoldenRowsHoldUnderAlternateExecution) {
       EXPECT_EQ(got.population.latency.fingerprint(),
                 want.population_fingerprint);
     }
+  }
+}
+
+// Strict-decode errors name the offending field by its full path, down to
+// the golden row.
+TEST(ScenarioCorpusTest, StrictDecodeNamesTheOffendingField) {
+  std::string bad =
+      slurp(std::filesystem::path(FORTRESS_SCENARIO_DIR) / "outage_waves.json");
+  const std::size_t at = bad.find("\"population_fingerprint\"");
+  ASSERT_NE(at, std::string::npos);
+  bad.insert(at, "\"extra\": 1, ");
+  try {
+    corpus_entry_from_json(bad);
+    FAIL() << "accepted an unknown golden-row key";
+  } catch (const json::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "corpus entry.golden[0]: unknown key \"extra\""),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -6,10 +6,13 @@
 // exactly-sized heap buffers.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "common/json.hpp"
+#include "scenario/codec.hpp"
 #include "scenario/plan_codec.hpp"
 #include "scenario/plan_generator.hpp"
 
@@ -182,6 +185,56 @@ TEST(PlanCodecTest, MalformedInputsAreRejectedWithPreciseErrors) {
           << "error was: " << e.what();
     }
   }
+}
+
+// Every enumerator has exactly one name in its table, the name parses back
+// to it, and a name outside the table is rejected with the full vocabulary.
+template <class E>
+void expect_enum_table(std::initializer_list<E> all, const char* noun) {
+  SCOPED_TRACE(noun);
+  std::set<std::string> names;
+  for (E e : all) {
+    const std::string name = enum_name(e);
+    EXPECT_NE(name, "?");
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    EXPECT_EQ(parse_enum<E>(name, "ctx"), e) << name;
+  }
+  EXPECT_EQ(std::size(enum_table(E{}).names), all.size());
+  try {
+    parse_enum<E>("no_such_name", "ctx");
+    FAIL() << "accepted an unknown name";
+  } catch (const json::ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::string("ctx: unknown ") + noun +
+                        " \"no_such_name\" (want "),
+              std::string::npos)
+        << what;
+    for (const std::string& name : names) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(PlanCodecTest, EnumTablesRoundTripEveryEnumerator) {
+  using K = net::LatencySpec::Kind;
+  using P = net::OverloadPolicy;
+  using T = net::FaultEvent::Target;
+  using F = net::FaultEvent::Kind;
+  using M = StoppingRule::Metric;
+  expect_enum_table({K::Fixed, K::Uniform, K::Exponential}, "latency kind");
+  expect_enum_table({P::DropTail, P::ShedNewest, P::Backpressure,
+                     P::DegradeUnsigned},
+                    "overload policy");
+  expect_enum_table({T::Server, T::Proxy}, "fault target");
+  expect_enum_table({F::Recover, F::Crash}, "fault kind");
+  expect_enum_table({M::MeanLifetime, M::CompromiseProbability,
+                     M::LatencyQuantile},
+                    "metric");
+  expect_enum_table({sim::SchedulerKind::Wheel, sim::SchedulerKind::Heap},
+                    "scheduler");
+  expect_enum_table({model::SystemKind::S0, model::SystemKind::S1,
+                     model::SystemKind::S2},
+                    "system");
 }
 
 TEST(PlanCodecTest, ContainerTypeConfusionIsRejected) {

@@ -5,7 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
+
 #include "common/json.hpp"
+
+#ifndef FORTRESS_SCENARIO_DIR
+#error "build defines FORTRESS_SCENARIO_DIR (see CMakeLists.txt)"
+#endif
 
 namespace fortress::scenario {
 namespace {
@@ -69,6 +78,13 @@ void expect_cells_bit_identical(const CellStats& a, const CellStats& b) {
   EXPECT_EQ(a.population.skipped_busy, b.population.skipped_busy);
   EXPECT_EQ(a.population.latency.fingerprint(),
             b.population.latency.fingerprint());
+}
+
+void replace_once(std::string& text, const std::string& from,
+                  const std::string& to) {
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
 }
 
 TEST(ShardTest, TwoShardMergeBitIdenticalToFullRun) {
@@ -221,6 +237,35 @@ TEST(ShardSpecTest, StrictDecodeRejectsMalformedSpecs) {
   // Truncated document.
   EXPECT_THROW(campaign_spec_from_json(good.substr(0, good.size() / 2)),
                json::ParseError);
+  // A 32-bit field is range-checked, not truncated: 2^32 threads must not
+  // decode to 0 (= all hardware threads).
+  {
+    std::string bad = good;
+    replace_once(bad, "\"threads\": 2,", "\"threads\": 4294967296,");
+    try {
+      campaign_spec_from_json(bad);
+      FAIL() << "accepted a threads count beyond 32 bits";
+    } catch (const json::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "campaign spec.threads: value 4294967296 does not fit"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Errors inside an embedded plan carry the full path from the spec root.
+  {
+    std::string bad = good;
+    replace_once(bad, "\"keyspace\": 128,", "\"keyspace\": \"128\",");
+    try {
+      campaign_spec_from_json(bad);
+      FAIL() << "accepted a string keyspace";
+    } catch (const json::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "campaign spec.plans[1].keyspace: expected number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ShardSidecarTest, StrictDecodeRejectsTamperedSidecars) {
@@ -241,6 +286,21 @@ TEST(ShardSidecarTest, StrictDecodeRejectsTamperedSidecars) {
     bad.replace(at, 4, "0x");
     EXPECT_THROW(shard_result_from_json(bad), json::ParseError);
   }
+  // shard / n_shards are 32-bit: 2^32 must not wrap to shard 0 of 1.
+  {
+    std::string bad = text;
+    replace_once(bad, "\"shard\": 0,", "\"shard\": 4294967296,");
+    replace_once(bad, "\"n_shards\": 2,", "\"n_shards\": 4294967297,");
+    try {
+      shard_result_from_json(bad);
+      FAIL() << "accepted shard/n_shards beyond 32 bits";
+    } catch (const json::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "shard result.shard: value 4294967296 does not fit"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Histogram must carry exactly kBins counts.
   {
     std::string bad = text;
@@ -249,6 +309,108 @@ TEST(ShardSidecarTest, StrictDecodeRejectsTamperedSidecars) {
     bad.insert(bad.find('[', at) + 1, "\n          0,");
     EXPECT_THROW(shard_result_from_json(bad), json::ParseError);
   }
+}
+
+// --- Byte pins: the spec, sidecar and report formats are fixtures ---------
+//
+// The round-trip tests above compare the writer only against its own
+// reader; these pin the bytes themselves, so a codec change that moves any
+// byte of a committed spec or of a sidecar/report fails here even when it
+// round-trips.
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(ShardPinTest, SmokeSpecReencodesToItsFileBytes) {
+  const std::string text =
+      slurp(std::string(FORTRESS_SCENARIO_DIR) + "/../specs/shard_smoke.json");
+  const CampaignSpec spec = campaign_spec_from_json(text);
+  EXPECT_EQ(campaign_spec_to_json(spec), text);
+  EXPECT_EQ(campaign_spec_digest(spec), 0xe2d9f4ef557182aeull);
+}
+
+double bits_to_double(std::uint64_t u) {
+  double d = 0.0;
+  std::memcpy(&d, &u, sizeof d);
+  return d;
+}
+
+// Every CellStats field non-default: histogram bins, -0.0 and subnormal
+// doubles, UINT64_MAX counters.
+CellStats pinned_cell(model::SystemKind system, std::uint64_t salt) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  CellStats c;
+  c.system = system;
+  c.plan_name = "pin \"quoted\"\n" + std::to_string(salt);
+  c.trials = kMax;
+  c.rounds = 3 + salt;
+  c.compromised = kMax - salt;
+  c.censored = 17 + salt;
+  c.lifetime = RunningStats::from_raw(
+      kMax, -0.0, std::numeric_limits<double>::denorm_min(), -1.5e300,
+      2.5 + static_cast<double>(salt));
+  c.lifetime_ci.lo = bits_to_double(0x000fffffffffffffull);  // subnormal
+  c.lifetime_ci.hi = -0.0;
+  c.lifetime_ci.level = 0.99;
+  c.attacker.direct_probes = kMax;
+  c.attacker.indirect_probes = 5 + salt;
+  c.attacker.crashes_caused = 6 + salt;
+  c.attacker.compromises = 7 + salt;
+  c.attacker.keys_learned = 8 + salt;
+  c.events_executed = kMax - 1;
+  c.blacklisted_sources = 9 + salt;
+  c.traffic.offered = 10 + salt;
+  c.traffic.completed = 11 + salt;
+  c.traffic.timed_out = 12 + salt;
+  c.traffic.gave_up = 13 + salt;
+  c.traffic.retries = 14 + salt;
+  c.traffic.rejected_responses = 15 + salt;
+  c.traffic.enqueued = 16 + salt;
+  c.traffic.served = 17 + salt;
+  c.traffic.shed = 18 + salt;
+  c.traffic.backpressured = 19 + salt;
+  c.traffic.degraded = 20 + salt;
+  c.traffic.dropped_on_reboot = 21 + salt;
+  c.traffic.max_queue_depth = kMax;
+  c.traffic.goodput = -std::numeric_limits<double>::denorm_min();
+  c.population.offered = 22 + salt;
+  c.population.completed = 23 + salt;
+  c.population.timed_out = 24 + salt;
+  c.population.gave_up = 25 + salt;
+  c.population.retries = 26 + salt;
+  c.population.rejected_responses = 27 + salt;
+  c.population.skipped_busy = kMax;
+  for (int b = 0; b < LatencyHistogram::kBins; ++b) {
+    c.traffic.latency.add_bin(b, 1 + static_cast<std::uint64_t>(b) * salt);
+    c.population.latency.add_bin(b, kMax - static_cast<std::uint64_t>(b));
+  }
+  return c;
+}
+
+TEST(ShardPinTest, SidecarAndReportBytesArePinned) {
+  ShardResult r;
+  r.shard = 1;
+  r.n_shards = 4;
+  r.n_cells = 11;
+  r.spec_digest = 0xfedcba9876543210ull;
+  r.cell_indices = {3, 7};
+  r.cells = {pinned_cell(model::SystemKind::S0, 1),
+             pinned_cell(model::SystemKind::S2, 2)};
+  const std::string sidecar = shard_result_to_json(r);
+  EXPECT_EQ(json::fnv1a64(sidecar), 0xe2c53788ebf70187ull) << sidecar.size();
+  EXPECT_EQ(shard_result_to_json(shard_result_from_json(sidecar)), sidecar);
+
+  CampaignResult report;
+  report.cells = r.cells;
+  report.total_trials = std::numeric_limits<std::uint64_t>::max();
+  report.total_events = 42;
+  const std::string text = campaign_result_to_json(report);
+  EXPECT_EQ(json::fnv1a64(text), 0xdf060758c4af6dd5ull) << text.size();
 }
 
 }  // namespace

@@ -7,15 +7,20 @@ Invoked from ctest (see fortress_tests_shard in CMakeLists.txt):
 
 For every committed specs/*.json campaign spec this runs the full
 multi-process driver twice — `run --shards 1` and `run --shards 2` — and
-requires the two merged result reports to be BYTE-identical. That is the
+requires the two merged result reports to be BYTE-identical. The
+`--shards 1` report must also hash (FNV-1a 64) to the value committed next
+to the spec as specs/<name>.report.fnv1a64 ("fnv1a64:<16 hex digits>"), so
+drift in the spec, sidecar or report format — or in any pinned campaign
+aggregate — fails end to end, not only a 1-vs-2-shard difference. That is the
 scale-out contract of scenario/shard.hpp: trial seeds derive from global
 cell indices and adaptive stopping is per-cell, so partitioning the grid
 across processes must change nothing (specs here keep work_stealing off,
 whose donation pool is deliberately per-process). The check also exercises
 fork/wait, the sidecar codec and the merge's coverage checks for real.
 
-An empty or missing specs directory is an error: the spec is a committed
-fixture, losing it silently would disarm the gate.
+An empty or missing specs directory is an error, and so is a spec without
+its report pin: both are committed fixtures, losing one silently would
+disarm the gate.
 """
 
 import argparse
@@ -39,6 +44,18 @@ def run_sharded(driver: str, spec: pathlib.Path, shards: int,
         raise RuntimeError(
             f"{spec.name}: expected {shards} sidecars, found {len(sidecars)}")
     return merged.read_bytes()
+
+
+def fnv1a64(data: bytes) -> int:
+    h = 14695981039346656037
+    for b in data:
+        h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def report_pin(spec: pathlib.Path) -> str:
+    pin = spec.with_name(spec.stem + ".report.fnv1a64")
+    return pin.read_text().strip()
 
 
 def main() -> int:
@@ -67,7 +84,19 @@ def main() -> int:
                 print(f"FAIL {spec.name}: {e}", file=sys.stderr)
                 failures += 1
                 continue
-        if one != two:
+        try:
+            want = report_pin(spec)
+        except OSError as e:
+            print(f"FAIL {spec.name}: missing report pin: {e}",
+                  file=sys.stderr)
+            failures += 1
+            continue
+        got = f"fnv1a64:{fnv1a64(one):016x}"
+        if got != want:
+            print(f"FAIL {spec.name}: merged report ({len(one)} bytes) "
+                  f"hashes to {got}, pinned {want}", file=sys.stderr)
+            failures += 1
+        elif one != two:
             print(f"FAIL {spec.name}: merged reports differ between "
                   "--shards 1 and --shards 2 (sharding must be "
                   "bit-invariant with work stealing off)", file=sys.stderr)
