@@ -47,6 +47,7 @@ double live_s1_lifetime(osl::ObfuscationPolicy policy, std::uint64_t chi,
   // The attacker probes the primary's address: with a shared tier key that
   // is the one channel that matters (Definition 2 discussion).
   attacker.add_direct_target(system.server_machine(0));
+  attacker.reset(acfg, /*indirect_active=*/false);
   attacker.start();
 
   sim.run_until(cfg.step_duration * static_cast<double>(max_steps));

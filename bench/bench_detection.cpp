@@ -53,6 +53,7 @@ Run run_once(double rate, std::uint32_t threshold, double window) {
   acfg.seed = 23;
   attack::DerandAttacker attacker(sim, system.network(), acfg);
   attacker.set_indirect_channel(system.directory().proxies);
+  attacker.reset(acfg, /*indirect_active=*/true);
   attacker.start();
 
   Run out{rate, -1.0, 0, 0};

@@ -49,6 +49,7 @@ int main() {
   acfg.indirect_probes_per_step = 10.0;
   attack::DerandAttacker attacker(sim, fortress.network(), acfg);
   attacker.set_indirect_channel(fortress.directory().proxies);
+  attacker.reset(acfg, /*indirect_active=*/true);
   attacker.start();
 
   std::printf("Proxy detection timeline (threshold: %u suspicious events in "

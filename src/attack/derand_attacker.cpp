@@ -9,12 +9,7 @@ namespace fortress::attack {
 
 DerandAttacker::DerandAttacker(sim::Simulator& sim, net::Network& network,
                                AttackerConfig config)
-    : sim_(sim),
-      network_(network),
-      config_(std::move(config)),
-      rng_(config_.seed) {
-  FORTRESS_EXPECTS(config_.keyspace >= 2);
-  FORTRESS_EXPECTS(config_.probes_per_step > 0);
+    : sim_(sim), network_(network), config_(std::move(config)) {
   FORTRESS_EXPECTS(config_.sybil_identities >= 1);
   identities_.push_back(config_.address);
   for (unsigned i = 1; i < config_.sybil_identities; ++i) {
@@ -22,7 +17,7 @@ DerandAttacker::DerandAttacker(sim::Simulator& sim, net::Network& network,
   }
   identity_ids_.reserve(identities_.size());
   for (const net::Address& id : identities_) {
-    identity_ids_.push_back(network_.attach(id, *this));
+    identity_ids_.push_back(network_.intern(id));
   }
 }
 
@@ -37,7 +32,6 @@ void DerandAttacker::add_direct_target(osl::Machine& target) {
   channel->kind = Channel::Kind::Direct;
   channel->target = &target;
   channel->target_id = target.id();
-  channel->enum_offset = rng_.below(config_.keyspace);
   channels_.push_back(std::move(channel));
 }
 
@@ -48,7 +42,6 @@ void DerandAttacker::set_indirect_channel(std::vector<net::Address> proxies) {
   for (const net::Address& proxy : proxies) {
     indirect_proxies_.push_back(network_.intern(proxy));
   }
-  indirect_offset_ = rng_.below(config_.keyspace);
 }
 
 void DerandAttacker::add_launchpad(osl::Machine& pad,
@@ -59,65 +52,47 @@ void DerandAttacker::add_launchpad(osl::Machine& pad,
     channel->kind = Channel::Kind::Pad;
     channel->pad = &pad;
     channel->target_id = network_.intern(server);
-    channel->enum_offset = rng_.below(config_.keyspace);
     channels_.push_back(std::move(channel));
   }
-  // The attacker sees exactly what its implant on the pad sees.
-  pad.set_attacker_taps(
-      [this](const net::Envelope& env) { on_message(env); },
-      [this](net::ConnectionId id, net::CloseReason reason) {
-        on_connection_closed(id, net::kInvalidHost, reason);
-      });
 }
 
 void DerandAttacker::reset(const AttackerConfig& config,
                            bool indirect_active) {
   FORTRESS_EXPECTS(!running_);
-  FORTRESS_EXPECTS(config.sybil_identities == config_.sybil_identities);
+  FORTRESS_EXPECTS(config.sybil_identities == identities_.size());
   FORTRESS_EXPECTS(config.keyspace >= 2);
   FORTRESS_EXPECTS(config.probes_per_step > 0);
+  FORTRESS_EXPECTS(!indirect_active || !indirect_proxies_.empty());
   config_ = config;
   rng_ = Rng(config_.seed);
   stats_ = AttackerStats{};
   by_conn_.clear();
-  // Replay the fresh-wiring draw order: channels_ holds direct channels
-  // first, then per-launchpad pad channels (registration order), and the
-  // indirect offset is drawn last — matching add_direct_target* /
-  // add_launchpad* / set_indirect_channel as the campaign driver calls
-  // them.
+  // Offsets are drawn in channel (wiring) order, then the indirect one.
   for (auto& channel : channels_) {
-    channel->enum_offset = rng_.below(config_.keyspace);
-    channel->next_candidate = 0;
-    channel->learned_keys.clear();
-    channel->learned_ix = 0;
-    channel->controlled = false;
-    channel->conn.reset();
-    channel->in_flight.reset();
-    channel->timer.reset();
-    if (channel->kind == Channel::Kind::Pad) {
-      channel->pad->set_attacker_taps(
+    Channel& ch = *channel;
+    ch = Channel{ch.kind, ch.target, ch.pad, ch.target_id};
+    ch.enum_offset = rng_.below(config_.keyspace);
+    if (ch.kind == Channel::Kind::Pad) {
+      // The attacker sees exactly what its implant on the pad sees.
+      ch.pad->set_attacker_taps(
           [this](const net::Envelope& env) { on_message(env); },
           [this](net::ConnectionId id, net::CloseReason reason) {
             on_connection_closed(id, net::kInvalidHost, reason);
           });
     }
   }
-  if (indirect_active) {
-    // Must have been wired at construction; the proxy list is structural.
-    FORTRESS_EXPECTS(!indirect_proxies_.empty());
-    indirect_offset_ = rng_.below(config_.keyspace);
-  }
-  // When inactive this trial the (possibly non-empty) proxy list is inert:
-  // start() only arms the indirect timer for indirect_probes_per_step > 0.
+  // When inactive this trial a wired proxy list is inert: start() only arms
+  // the indirect timer for indirect_probes_per_step > 0.
+  indirect_offset_ = indirect_active ? rng_.below(config_.keyspace) : 0;
   indirect_next_ = 0;
   indirect_rotate_ = 0;
   request_seq_ = 0;
-  indirect_timer_.reset();
   for (net::HostId id : identity_ids_) network_.attach(id, *this);
 }
 
 void DerandAttacker::start() {
   FORTRESS_EXPECTS(!running_);
+  FORTRESS_EXPECTS(network_.attached(identity_ids_.front()));  // reset() ran
   running_ = true;
   const sim::Time direct_interval =
       config_.step_duration / config_.probes_per_step;

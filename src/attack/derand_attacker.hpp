@@ -62,11 +62,16 @@ struct AttackerStats {
 
 class DerandAttacker final : public net::Handler {
  public:
+  /// Interns the identities `config.address` and `config.sybil_identities`
+  /// name; the rest of `config` takes effect at reset().
   DerandAttacker(sim::Simulator& sim, net::Network& network,
                  AttackerConfig config);
   ~DerandAttacker() override;
   DerandAttacker(const DerandAttacker&) = delete;
   DerandAttacker& operator=(const DerandAttacker&) = delete;
+
+  // --- wiring: which channels exist. Draws nothing; reset() initializes
+  // every channel's per-trial state. --------------------------------------
 
   /// Probe this machine directly (it must be reachable by clients).
   void add_direct_target(osl::Machine& target);
@@ -80,21 +85,20 @@ class DerandAttacker final : public net::Handler {
   /// directly.
   void add_launchpad(osl::Machine& pad, std::vector<net::Address> servers);
 
+  /// Begin a trial on the wired channels: the one place per-trial state is
+  /// initialized, called on a freshly wired attacker and on a reused one
+  /// alike, before start(). Seeds the RNG from `config`, draws every
+  /// channel's enumeration offset in wiring order and then — only when
+  /// `indirect_active` — the indirect channel's, installs the launchpad
+  /// taps and attaches the identities (whose network must have been reset
+  /// or never seen them). Preconditions: stopped;
+  /// `config.sybil_identities` equals the constructor's; `indirect_active`
+  /// requires set_indirect_channel.
+  void reset(const AttackerConfig& config, bool indirect_active);
+
   /// Begin all attack loops.
   void start();
   void stop();
-
-  /// Re-initialize for a new campaign trial on a pooled stack, KEEPING the
-  /// channel wiring (targets, launchpads, indirect proxies — the machines
-  /// behind them survive a LiveSystem::reset). Replays the construction-
-  /// time RNG draws in exactly the order the campaign driver wires a fresh
-  /// attacker (direct targets, then launchpads, then the indirect offset),
-  /// so a reset attacker behaves bit-identically to a freshly wired one.
-  /// Re-attaches identities (the network was reset) and re-installs the
-  /// launchpad taps (machine resets cleared them). Preconditions: stopped;
-  /// `config.sybil_identities` unchanged; `indirect_active` must match
-  /// whether a fresh wiring would have called set_indirect_channel.
-  void reset(const AttackerConfig& config, bool indirect_active);
 
   const AttackerStats& stats() const { return stats_; }
 
@@ -114,12 +118,12 @@ class DerandAttacker final : public net::Handler {
     net::HostId target_id = net::kInvalidHost;
     std::uint64_t enum_offset = 0;  ///< random start within the keyspace
     std::uint64_t next_candidate = 0;
-    std::vector<osl::RandKey> learned_keys;  ///< retry-first after reboots
+    std::vector<osl::RandKey> learned_keys{};  ///< retry-first after reboots
     std::size_t learned_ix = 0;
     bool controlled = false;
-    std::optional<net::ConnectionId> conn;
-    std::optional<osl::RandKey> in_flight;  ///< guess awaiting an outcome
-    std::unique_ptr<sim::PeriodicTimer> timer;
+    std::optional<net::ConnectionId> conn{};
+    std::optional<osl::RandKey> in_flight{};  ///< guess awaiting an outcome
+    std::unique_ptr<sim::PeriodicTimer> timer{};
   };
 
   void tick(Channel& channel);

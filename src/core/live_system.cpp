@@ -9,14 +9,30 @@ namespace fortress::core {
 
 namespace {
 
-// Shared fault-target resolution: bounds-checked lookup into one tier's
-// machine vector (out-of-range plan indices are ignored, not errors).
-osl::Machine* machine_at(
-    const std::vector<std::unique_ptr<osl::Machine>>& tier, int index) {
-  if (index < 0 || static_cast<std::size_t>(index) >= tier.size()) {
-    return nullptr;
+struct TierSizes {
+  int servers;
+  int proxies;
+};
+
+// The tier sizes make_live_system deploys for `kind` under `plan`. S0 is an
+// SMR quorum, so its deployment size must be a valid 3f+1. Plans are swept
+// across classes unchanged, so n_servers is treated as a floor: deploy the
+// smallest 3f+1 >= max(4, n_servers) (never fewer machines than requested;
+// 3 -> 4, 5 or 6 -> 7, ...).
+TierSizes deployed_tiers(model::SystemKind kind,
+                         const net::ScenarioPlan& plan) {
+  switch (kind) {
+    case model::SystemKind::S0: {
+      const int f = plan.n_servers >= 4 ? (plan.n_servers + 1) / 3 : 1;
+      return {3 * f + 1, 0};
+    }
+    case model::SystemKind::S1:
+      return {plan.n_servers, 0};
+    case model::SystemKind::S2:
+      return {plan.n_servers, plan.n_proxies};
   }
-  return tier[static_cast<std::size_t>(index)].get();
+  FORTRESS_CHECK(false);
+  return {0, 0};
 }
 
 }  // namespace
@@ -40,51 +56,129 @@ LiveConfig LiveConfig::from_plan(const net::ScenarioPlan& plan,
   return cfg;
 }
 
-net::NetworkConfig LiveSystem::net_config_for(const LiveConfig& config) {
-  net::NetworkConfig net_cfg = config.network;
-  net_cfg.rng_seed = config.seed ^ 0xABCDULL;
-  return net_cfg;
-}
-
-osl::ObfuscationConfig LiveSystem::obf_config_for(const LiveConfig& config) {
-  osl::ObfuscationConfig obf_cfg;
-  obf_cfg.step_duration = config.step_duration;
-  obf_cfg.policy = config.policy;
-  obf_cfg.keyspace = config.keyspace;
-  obf_cfg.rng_seed = config.seed ^ 0x5EEDULL;
-  return obf_cfg;
-}
-
-LiveSystem::LiveSystem(sim::Simulator& sim, LiveConfig config)
+LiveSystem::LiveSystem(sim::Simulator& sim, LiveConfig config,
+                       model::SystemKind kind)
     : sim_(sim),
       config_(std::move(config)),
-      registry_(config_.seed ^ 0xF0F0F0F0ULL) {
-  network_ = std::make_unique<net::Network>(
-      sim, std::make_unique<net::SpecLatency>(config_.latency),
-      net_config_for(config_));
-  scheduler_ =
-      std::make_unique<osl::ObfuscationScheduler>(sim, obf_config_for(config_));
+      kind_(kind),
+      registry_(config_.seed ^ 0xF0F0F0F0ULL),
+      // Placeholder behaviour: begin_trial() installs config_'s.
+      network_(std::make_unique<net::Network>(
+          sim, std::make_unique<net::FixedLatency>(0.0))),
+      scheduler_(std::make_unique<osl::ObfuscationScheduler>(
+          sim, osl::ObfuscationConfig{})) {}
+
+osl::Machine& LiveSystem::add_node(Tier tier, osl::MachineConfig mc,
+                                   std::unique_ptr<osl::Application> app,
+                                   std::function<void()> reset_app,
+                                   std::function<void()> start_app) {
+  FORTRESS_EXPECTS(tier == Tier::Proxy || tier_size(Tier::Proxy) == 0);
+  const std::uint64_t salt = (tier == Tier::Server ? 1 : 0x1000) +
+                             static_cast<std::uint64_t>(tier_size(tier));
+  auto machine = std::make_unique<osl::Machine>(*network_, std::move(mc));
+  machine->set_application(app.get());
+  nodes_.push_back(Node{tier, std::move(machine), std::move(app), salt,
+                        std::move(reset_app), std::move(start_app)});
+  return *nodes_.back().machine;
+}
+
+void LiveSystem::begin_trial() {
+  net::NetworkConfig net_cfg = config_.network;
+  net_cfg.rng_seed = config_.seed ^ 0xABCDULL;
+  network_->reset(std::make_unique<net::SpecLatency>(config_.latency),
+                  std::move(net_cfg));
+  osl::ObfuscationConfig obf_cfg;
+  obf_cfg.step_duration = config_.step_duration;
+  obf_cfg.policy = config_.policy;
+  obf_cfg.keyspace = config_.keyspace;
+  obf_cfg.rng_seed = config_.seed ^ 0x5EEDULL;
+  scheduler_->reset(obf_cfg);
+  nameserver_->reset();
+  failure_time_.reset();
+  on_failure = nullptr;
+  for (Node& n : nodes_) {
+    osl::Machine& m = *n.machine;
+    m.reset(config_.keyspace);
+    m.add_compromise_listener([this](osl::Machine&) {
+      if (compromise_rule()) latch_failure();
+    });
+    // Service-time streams are independent across machines: each is keyed
+    // by the trial seed and the node's stable salt.
+    m.configure_service(config_.service,
+                        config_.seed ^ 0x5E41CEULL ^
+                            (n.service_salt * 0x9E3779B97F4A7C15ULL));
+    n.reset_app();
+  }
 }
 
 void LiveSystem::reset(const net::ScenarioPlan& plan, std::uint64_t seed) {
-  // Mirrors construction: same config derivations, same seed XORs — EXCEPT
-  // the signature substrate. The KeyRegistry keeps the master it was
-  // constructed with (the pooled stack keeps its PKI across trials the way
-  // a real testbed keeps its CA): signing secrets are substrate-internal
-  // (signature.hpp's SUBSTITUTION NOTE — the paper's analysis does not
-  // depend on the signature scheme), signatures are fixed-size, and
-  // sign/verify outcomes depend only on key CONSISTENCY, so no trial
-  // observable depends on the master seed. Skipping the re-key avoids
-  // recomputing one HMAC key schedule per principal per trial — the
-  // dominant reset cost at small horizons.
+  FORTRESS_EXPECTS(deploys(kind_, plan));
+  // The KeyRegistry is the one component begin_trial() leaves alone: it
+  // keeps the master it was constructed with (the pooled stack keeps its
+  // PKI across trials the way a real testbed keeps its CA). Signing
+  // secrets are substrate-internal (signature.hpp's SUBSTITUTION NOTE —
+  // the paper's analysis does not depend on the signature scheme),
+  // signatures are fixed-size, and sign/verify outcomes depend only on key
+  // CONSISTENCY, so no trial observable depends on the master seed.
+  // Skipping the re-key avoids recomputing one HMAC key schedule per
+  // principal per trial — the dominant reset cost at small horizons.
   config_ = LiveConfig::from_plan(plan, seed);
-  network_->reset(std::make_unique<net::SpecLatency>(config_.latency),
-                  net_config_for(config_));
-  scheduler_->reset(obf_config_for(config_));
-  failure_time_.reset();
-  on_failure = nullptr;
-  nameserver_->reset();
-  reset_components();
+  begin_trial();
+}
+
+bool LiveSystem::deploys(model::SystemKind kind,
+                         const net::ScenarioPlan& plan) const {
+  const TierSizes want = deployed_tiers(kind, plan);
+  return kind == kind_ && want.servers == tier_size(Tier::Server) &&
+         want.proxies == tier_size(Tier::Proxy);
+}
+
+void LiveSystem::start() {
+  scheduler_->boot_all();
+  for (Node& n : nodes_) n.start_app();
+  scheduler_->start();
+}
+
+const LiveSystem::Node& LiveSystem::node(Tier tier, int index) const {
+  FORTRESS_EXPECTS(index >= 0 && index < tier_size(tier));
+  for (const Node& n : nodes_) {
+    if (n.tier == tier && index-- == 0) return n;
+  }
+  FORTRESS_CHECK(false);
+  return nodes_.front();
+}
+
+int LiveSystem::tier_size(Tier tier) const {
+  int count = 0;
+  for (const Node& n : nodes_) count += n.tier == tier ? 1 : 0;
+  return count;
+}
+
+std::vector<osl::Machine*> LiveSystem::tier_machines(Tier tier) {
+  std::vector<osl::Machine*> out;
+  for (Node& n : nodes_) {
+    if (n.tier == tier) out.push_back(n.machine.get());
+  }
+  return out;
+}
+
+int LiveSystem::compromised_in(Tier tier) const {
+  int count = 0;
+  for (const Node& n : nodes_) {
+    if (n.tier == tier && n.machine->compromised()) ++count;
+  }
+  return count;
+}
+
+osl::Machine* LiveSystem::fault_target(Tier tier, int index) {
+  if (index < 0 || index >= tier_size(tier)) return nullptr;
+  return node(tier, index).machine.get();
+}
+
+std::vector<const osl::Machine*> LiveSystem::service_machines() const {
+  std::vector<const osl::Machine*> out;
+  for (const Node& n : nodes_) out.push_back(n.machine.get());
+  return out;
 }
 
 std::optional<std::uint64_t> LiveSystem::failure_step() const {
@@ -98,24 +192,11 @@ void LiveSystem::latch_failure() {
   if (on_failure) on_failure();
 }
 
-void LiveSystem::watch(osl::Machine& machine) {
-  machine.add_compromise_listener([this](osl::Machine&) {
-    if (compromise_rule()) latch_failure();
-  });
-}
-
-void LiveSystem::configure_machine_service(osl::Machine& machine,
-                                           std::uint64_t salt) {
-  machine.configure_service(
-      config_.service,
-      config_.seed ^ 0x5E41CEULL ^ (salt * 0x9E3779B97F4A7C15ULL));
-}
-
 // --- LiveS1 -----------------------------------------------------------------
 
 LiveS1::LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
                int n_servers, const std::string& prefix)
-    : LiveSystem(sim, config) {
+    : LiveSystem(sim, config, model::SystemKind::S1) {
   FORTRESS_EXPECTS(n_servers >= 1);
   FORTRESS_EXPECTS(factory != nullptr);
   std::vector<net::Address> addrs;
@@ -129,19 +210,14 @@ LiveS1::LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
 
   std::vector<osl::Machine*> group;
   for (int i = 0; i < n_servers; ++i) {
-    auto machine = std::make_unique<osl::Machine>(
-        *network_, osl::MachineConfig{addrs[static_cast<std::size_t>(i)],
-                                      config.keyspace});
     pb.index = static_cast<std::uint32_t>(i);
     auto replica = std::make_unique<replication::PbReplica>(
         sim_, *network_, registry_,
         factory(static_cast<std::uint32_t>(i)), pb);
-    machine->set_application(replica.get());
-    watch(*machine);
-    configure_machine_service(*machine, 1 + static_cast<std::uint64_t>(i));
-    group.push_back(machine.get());
-    machines_.push_back(std::move(machine));
-    replicas_.push_back(std::move(replica));
+    replication::PbReplica* r = replica.get();
+    group.push_back(&add_node(
+        Tier::Server, {addrs[static_cast<std::size_t>(i)], config.keyspace},
+        std::move(replica), [r] { r->reset(); }, [r] { r->start(); }));
   }
   // One shared key for the whole PB tier (§3).
   scheduler_->add_shared_group(group);
@@ -151,35 +227,11 @@ LiveS1::LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
   directory_.server_addrs = addrs;
   directory_.server_principals = addrs;  // principals == addresses
   nameserver_ = std::make_unique<NameServer>(*network_, registry_, directory_);
-}
-
-void LiveS1::start() {
-  scheduler_->boot_all();
-  for (auto& r : replicas_) r->start();
-  scheduler_->start();
+  begin_trial();
 }
 
 bool LiveS1::compromise_rule() const {
-  for (const auto& m : machines_) {
-    if (m->compromised()) return true;
-  }
-  return false;
-}
-
-void LiveS1::reset_components() {
-  std::uint64_t salt = 1;
-  for (auto& m : machines_) {
-    m->reset(config_.keyspace);
-    watch(*m);
-    configure_machine_service(*m, salt++);
-  }
-  for (auto& r : replicas_) r->reset();
-}
-
-std::vector<const osl::Machine*> LiveS1::service_machines() const {
-  std::vector<const osl::Machine*> out;
-  for (const auto& m : machines_) out.push_back(m.get());
-  return out;
+  return compromised_in(Tier::Server) > 0;
 }
 
 std::vector<osl::Machine*> LiveS1::direct_attack_surface() {
@@ -187,12 +239,7 @@ std::vector<osl::Machine*> LiveS1::direct_attack_surface() {
   // channel (Definition 2): probing more machines with the same enumeration
   // would overcount the model's per-channel rate omega. The primary stands
   // in for the tier.
-  return {machines_.front().get()};
-}
-
-osl::Machine* LiveS1::fault_target(net::FaultEvent::Target tier, int index) {
-  if (tier != net::FaultEvent::Target::Server) return nullptr;
-  return machine_at(machines_, index);
+  return {&server_machine(0)};
 }
 
 // --- LiveS0 -----------------------------------------------------------------
@@ -200,7 +247,7 @@ osl::Machine* LiveS1::fault_target(net::FaultEvent::Target tier, int index) {
 LiveS0::LiveS0(sim::Simulator& sim, LiveConfig config,
                DeterministicServiceFactory factory, std::uint32_t f,
                const std::string& prefix)
-    : LiveSystem(sim, config) {
+    : LiveSystem(sim, config, model::SystemKind::S0) {
   FORTRESS_EXPECTS(factory != nullptr);
   const std::uint32_t n = 3 * f + 1;
   std::vector<net::Address> addrs;
@@ -215,17 +262,13 @@ LiveS0::LiveS0(sim::Simulator& sim, LiveConfig config,
 
   std::vector<osl::Machine*> batch;
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto machine = std::make_unique<osl::Machine>(
-        *network_, osl::MachineConfig{addrs[i], config.keyspace});
     smr.index = i;
     auto replica = std::make_unique<replication::SmrReplica>(
         sim_, *network_, registry_, factory(i), smr);
-    machine->set_application(replica.get());
-    watch(*machine);
-    configure_machine_service(*machine, 1 + static_cast<std::uint64_t>(i));
-    batch.push_back(machine.get());
-    machines_.push_back(std::move(machine));
-    replicas_.push_back(std::move(replica));
+    replication::SmrReplica* r = replica.get();
+    batch.push_back(&add_node(Tier::Server, {addrs[i], config.keyspace},
+                              std::move(replica), [r] { r->reset(); },
+                              [r] { r->start(); }));
   }
   // Distinct keys, staggered reboot batches (Roeder-Schneider).
   scheduler_->add_staggered_batch(batch);
@@ -235,20 +278,7 @@ LiveS0::LiveS0(sim::Simulator& sim, LiveConfig config,
   directory_.server_addrs = addrs;
   directory_.server_principals = addrs;
   nameserver_ = std::make_unique<NameServer>(*network_, registry_, directory_);
-}
-
-void LiveS0::start() {
-  scheduler_->boot_all();
-  for (auto& r : replicas_) r->start();
-  scheduler_->start();
-}
-
-int LiveS0::currently_compromised() const {
-  int count = 0;
-  for (const auto& m : machines_) {
-    if (m->compromised()) ++count;
-  }
-  return count;
+  begin_trial();
 }
 
 bool LiveS0::compromise_rule() const {
@@ -256,38 +286,15 @@ bool LiveS0::compromise_rule() const {
   return currently_compromised() >= 2;
 }
 
-void LiveS0::reset_components() {
-  std::uint64_t salt = 1;
-  for (auto& m : machines_) {
-    m->reset(config_.keyspace);
-    watch(*m);
-    configure_machine_service(*m, salt++);
-  }
-  for (auto& r : replicas_) r->reset();
-}
-
-std::vector<const osl::Machine*> LiveS0::service_machines() const {
-  std::vector<const osl::Machine*> out;
-  for (const auto& m : machines_) out.push_back(m.get());
-  return out;
-}
-
 std::vector<osl::Machine*> LiveS0::direct_attack_surface() {
-  std::vector<osl::Machine*> out;
-  for (const auto& m : machines_) out.push_back(m.get());
-  return out;
-}
-
-osl::Machine* LiveS0::fault_target(net::FaultEvent::Target tier, int index) {
-  if (tier != net::FaultEvent::Target::Server) return nullptr;
-  return machine_at(machines_, index);
+  return tier_machines(Tier::Server);
 }
 
 // --- LiveS2 -----------------------------------------------------------------
 
 LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
                int n_servers, int n_proxies, const std::string& prefix)
-    : LiveSystem(sim, config) {
+    : LiveSystem(sim, config, model::SystemKind::S2) {
   FORTRESS_EXPECTS(factory != nullptr);
   FORTRESS_EXPECTS(n_servers >= 1 && n_proxies >= 1);
   for (int i = 0; i < n_servers; ++i) {
@@ -305,40 +312,33 @@ LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
 
   std::vector<osl::Machine*> server_group;
   for (int i = 0; i < n_servers; ++i) {
-    auto machine = std::make_unique<osl::Machine>(
-        *network_,
-        osl::MachineConfig{server_addrs_[static_cast<std::size_t>(i)],
-                           config.keyspace});
     pb.index = static_cast<std::uint32_t>(i);
     auto replica = std::make_unique<replication::PbReplica>(
         sim_, *network_, registry_, factory(static_cast<std::uint32_t>(i)),
         pb);
-    machine->set_application(replica.get());
-    watch(*machine);
-    configure_machine_service(*machine, 1 + static_cast<std::uint64_t>(i));
-    server_group.push_back(machine.get());
-    server_machines_.push_back(std::move(machine));
-    replicas_.push_back(std::move(replica));
+    replication::PbReplica* r = replica.get();
+    server_group.push_back(&add_node(
+        Tier::Server,
+        {server_addrs_[static_cast<std::size_t>(i)], config.keyspace},
+        std::move(replica), [r] { r->reset(); }, [r] { r->start(); }));
   }
   scheduler_->add_shared_group(server_group);
 
+  // The detection knobs are per-trial: the reset hook installs config_'s.
   proxy::ProxyConfig pxy;
   pxy.servers = server_addrs_;
-  pxy.blacklist_enabled = config.proxy_blacklist;
-  pxy.detection = config.detection;
   for (int i = 0; i < n_proxies; ++i) {
     pxy.address = proxy_addrs[static_cast<std::size_t>(i)];
     osl::MachineConfig mc{pxy.address, config.keyspace};
     mc.processes_request_payloads = false;  // proxies do no processing (§3)
-    auto machine = std::make_unique<osl::Machine>(*network_, mc);
     auto node = std::make_unique<proxy::ProxyNode>(sim_, *network_, registry_,
                                                    pxy);
-    machine->set_application(node.get());
-    watch(*machine);
-    configure_machine_service(*machine, 0x1000 + static_cast<std::uint64_t>(i));
-    scheduler_->add_machine(*machine);  // individually distinct proxy keys
-    proxy_machines_.push_back(std::move(machine));
-    proxies_.push_back(std::move(node));
+    proxy::ProxyNode* p = node.get();
+    // Individually distinct proxy keys.
+    scheduler_->add_machine(add_node(
+        Tier::Proxy, mc, std::move(node),
+        [this, p] { p->reset(config_.proxy_blacklist, config_.detection); },
+        [p] { p->start(); }));
   }
 
   // Clients learn proxies' addresses and servers' principal names (indices)
@@ -348,78 +348,33 @@ LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
   directory_.proxies = proxy_addrs;
   directory_.server_principals = server_addrs_;
   nameserver_ = std::make_unique<NameServer>(*network_, registry_, directory_);
-}
-
-void LiveS2::start() {
-  scheduler_->boot_all();
-  for (auto& r : replicas_) r->start();
-  for (auto& p : proxies_) p->start();
-  scheduler_->start();
-}
-
-int LiveS2::currently_compromised_proxies() const {
-  int count = 0;
-  for (const auto& m : proxy_machines_) {
-    if (m->compromised()) ++count;
-  }
-  return count;
+  begin_trial();
 }
 
 bool LiveS2::compromise_rule() const {
-  for (const auto& m : server_machines_) {
-    if (m->compromised()) return true;
-  }
-  return currently_compromised_proxies() ==
-         static_cast<int>(proxy_machines_.size());
-}
-
-void LiveS2::reset_components() {
-  std::uint64_t salt = 1;
-  for (auto& m : server_machines_) {
-    m->reset(config_.keyspace);
-    watch(*m);
-    configure_machine_service(*m, salt++);
-  }
-  for (auto& r : replicas_) r->reset();
-  salt = 0x1000;
-  for (auto& m : proxy_machines_) {
-    m->reset(config_.keyspace);
-    watch(*m);
-    configure_machine_service(*m, salt++);
-  }
-  for (auto& p : proxies_) p->reset(config_.proxy_blacklist, config_.detection);
-}
-
-std::vector<const osl::Machine*> LiveS2::service_machines() const {
-  std::vector<const osl::Machine*> out;
-  for (const auto& m : server_machines_) out.push_back(m.get());
-  for (const auto& m : proxy_machines_) out.push_back(m.get());
-  return out;
+  return compromised_in(Tier::Server) > 0 ||
+         compromised_in(Tier::Proxy) == tier_size(Tier::Proxy);
 }
 
 std::vector<osl::Machine*> LiveS2::direct_attack_surface() {
-  std::vector<osl::Machine*> out;
-  for (const auto& m : proxy_machines_) out.push_back(m.get());
-  return out;
+  return tier_machines(Tier::Proxy);
 }
 
 std::vector<osl::Machine*> LiveS2::launchpad_machines() {
-  return direct_attack_surface();
+  return tier_machines(Tier::Proxy);
 }
 
 std::vector<net::Address> LiveS2::hidden_server_addresses() const {
   return server_addrs_;
 }
 
-osl::Machine* LiveS2::fault_target(net::FaultEvent::Target tier, int index) {
-  return machine_at(tier == net::FaultEvent::Target::Server ? server_machines_
-                                                            : proxy_machines_,
-                    index);
-}
-
 std::uint64_t LiveS2::blacklisted_sources() const {
   std::uint64_t total = 0;
-  for (const auto& p : proxies_) total += p->blacklist_size();
+  for (const Node& n : nodes_) {
+    if (n.tier == Tier::Proxy) {
+      total += static_cast<const proxy::ProxyNode&>(*n.app).blacklist_size();
+    }
+  }
   return total;
 }
 
@@ -431,25 +386,20 @@ std::unique_ptr<LiveSystem> make_live_system(sim::Simulator& sim,
   ServiceFactory kv = [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   };
+  const TierSizes tiers = deployed_tiers(kind, plan);
   switch (kind) {
     case model::SystemKind::S0: {
-      // S0 is an SMR quorum, so the deployment size must be a valid 3f+1.
-      // Plans are swept across classes unchanged, so n_servers is treated
-      // as a floor: deploy the smallest 3f+1 >= max(4, n_servers) (never
-      // fewer machines than requested; 3 -> 4, 5 or 6 -> 7, ...).
-      std::uint32_t f = plan.n_servers >= 4
-                            ? static_cast<std::uint32_t>((plan.n_servers + 1) / 3)
-                            : 1;
       DeterministicServiceFactory det_kv = [](std::uint32_t) {
         return std::make_unique<replication::KvService>();
       };
-      return std::make_unique<LiveS0>(sim, cfg, det_kv, f);
+      return std::make_unique<LiveS0>(
+          sim, cfg, det_kv, static_cast<std::uint32_t>(tiers.servers - 1) / 3);
     }
     case model::SystemKind::S1:
-      return std::make_unique<LiveS1>(sim, cfg, kv, plan.n_servers);
+      return std::make_unique<LiveS1>(sim, cfg, kv, tiers.servers);
     case model::SystemKind::S2:
-      return std::make_unique<LiveS2>(sim, cfg, kv, plan.n_servers,
-                                      plan.n_proxies);
+      return std::make_unique<LiveS2>(sim, cfg, kv, tiers.servers,
+                                      tiers.proxies);
   }
   FORTRESS_CHECK(false);
   return nullptr;

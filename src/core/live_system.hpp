@@ -12,6 +12,13 @@
 //           tier (shared key); compromised when any server is controlled or
 //           all proxies are simultaneously controlled.
 //
+// One trial-initialization path: a constructor only WIRES the deployment
+// (machines, applications, key-sharing groups, directory) and then calls
+// begin_trial(), the single function that initializes every piece of
+// per-trial state. reset(plan, seed) installs the next trial's config and
+// calls the same begin_trial(), so a pooled deployment and a fresh one
+// differ only in whether the wiring ran.
+//
 // The compromise predicate is latched: the moment it first holds, failed()
 // becomes true and failure_time() records the simulation time.
 #pragma once
@@ -41,7 +48,7 @@ struct LiveConfig {
   std::uint64_t keyspace = 1ull << 16;  ///< χ
   osl::ObfuscationPolicy policy = osl::ObfuscationPolicy::Rerandomize;
   sim::Time step_duration = 100.0;  ///< the unit time-step
-  /// Network behaviour (fed into net::Network at construction; the
+  /// Network behaviour (fed into net::Network by begin_trial; the
   /// network's rng_seed is derived from `seed`, overriding network.rng_seed).
   net::LatencySpec latency = net::LatencySpec::uniform(0.1, 0.5);
   net::NetworkConfig network;
@@ -68,9 +75,12 @@ using DeterministicServiceFactory =
     std::function<std::unique_ptr<replication::DeterministicService>(
         std::uint32_t index)>;
 
-/// Common machinery shared by the three deployments.
+/// Common machinery shared by the three deployments: the machines and the
+/// applications they run, and the one per-trial initialization path.
 class LiveSystem {
  public:
+  using Tier = net::FaultEvent::Target;
+
   virtual ~LiveSystem() = default;
   LiveSystem(const LiveSystem&) = delete;
   LiveSystem& operator=(const LiveSystem&) = delete;
@@ -82,23 +92,23 @@ class LiveSystem {
   sim::Simulator& simulator() { return sim_; }
 
   /// Boot machines, start applications and the obfuscation clock.
-  virtual void start() = 0;
+  void start();
 
-  /// Re-initialize this deployment for a NEW trial of (plan, seed) without
-  /// reconstructing it: every component returns to the state a fresh
-  /// construction with the same arguments would have — except the
-  /// signature substrate, which keeps its construction-time PKI (no trial
-  /// observable depends on it; see the note in the implementation) — but
-  /// machines, replicas, proxies, the network and all their buffers are
-  /// reused. The structural shape (system class, tier sizes) must match
-  /// the plan this system was built from — per-trial knobs (keyspace, step
-  /// duration, latency, detection, partitions, policy) may differ. The
-  /// caller resets the owning Simulator FIRST (pending events reference
-  /// it). After reset(), start() replays exactly as after
-  /// make_live_system: a reset-then-run trial produces a TrialOutcome
-  /// bit-identical to a freshly-constructed one (enforced by
-  /// ArenaTrialsMatchFreshTrials).
+  /// Begin a NEW trial of (plan, seed) on this already-wired deployment:
+  /// config_ becomes LiveConfig::from_plan(plan, seed) and begin_trial()
+  /// runs — the same per-trial initialization every constructor ends in,
+  /// so a reset deployment and a freshly built one differ only in whether
+  /// the wiring ran. The signature substrate keeps its construction-time
+  /// PKI (no trial observable depends on it; see the note in the
+  /// implementation). Precondition: deploys(kind, plan) for this system's
+  /// class — per-trial knobs (keyspace, step duration, latency, detection,
+  /// partitions, policy, service model) may differ. The caller resets the
+  /// owning Simulator FIRST (pending events reference it).
   void reset(const net::ScenarioPlan& plan, std::uint64_t seed);
+
+  /// True when make_live_system(kind, plan, ·) deploys exactly this system's
+  /// class and tier sizes, i.e. when reset(plan, ·) may reuse it.
+  bool deploys(model::SystemKind kind, const net::ScenarioPlan& plan) const;
 
   /// Latched compromise predicate.
   bool failed() const { return failure_time_.has_value(); }
@@ -132,8 +142,7 @@ class LiveSystem {
   /// Resolve a scheduled fault's (tier, index) to a machine; nullptr when
   /// the tier does not exist or the index is out of range (the fault is
   /// ignored, letting one plan span system classes of different shapes).
-  virtual osl::Machine* fault_target(net::FaultEvent::Target tier,
-                                     int index) = 0;
+  osl::Machine* fault_target(Tier tier, int index);
 
   /// Total distinct (source, proxy) blacklistings across the detection
   /// tier — the observable evidence that detection fired. 0 for classes
@@ -143,40 +152,57 @@ class LiveSystem {
   /// Every machine in the deployment (servers first, then proxies where
   /// present) — the campaign sums per-machine OverloadStats across these
   /// into the trial's overload aggregates.
-  virtual std::vector<const osl::Machine*> service_machines() const = 0;
+  std::vector<const osl::Machine*> service_machines() const;
 
  protected:
-  LiveSystem(sim::Simulator& sim, LiveConfig config);
+  LiveSystem(sim::Simulator& sim, LiveConfig config, model::SystemKind kind);
+
+  /// One deployed machine and the application it runs. `reset_app` returns
+  /// the application to its just-constructed state under config_'s knobs;
+  /// `start_app` begins its protocol once the machine is booted.
+  struct Node {
+    Tier tier;
+    std::unique_ptr<osl::Machine> machine;
+    std::unique_ptr<osl::Application> app;
+    /// Keys the machine's service-time stream (see begin_trial): servers
+    /// count up from 1, proxies from 0x1000.
+    std::uint64_t service_salt;
+    std::function<void()> reset_app;
+    std::function<void()> start_app;
+  };
+
+  /// Wire one machine at `mc` running `app` onto the end of `tier` (servers
+  /// are added before proxies). Returns the new machine.
+  osl::Machine& add_node(Tier tier, osl::MachineConfig mc,
+                         std::unique_ptr<osl::Application> app,
+                         std::function<void()> reset_app,
+                         std::function<void()> start_app);
+
+  /// The per-trial initialization, run at the end of every constructor and
+  /// by reset(): network, obfuscation scheduler and name server restart
+  /// under config_; every machine is reset, watched and given its service
+  /// model; every application is reset.
+  void begin_trial();
+
+  const Node& node(Tier tier, int index) const;
+  int tier_size(Tier tier) const;
+  std::vector<osl::Machine*> tier_machines(Tier tier);
+  /// Machines of `tier` currently under attacker control.
+  int compromised_in(Tier tier) const;
 
   void latch_failure();
   /// Called on every machine compromise; subclasses evaluate their rule.
   virtual bool compromise_rule() const = 0;
-  void watch(osl::Machine& machine);
-
-  /// Install config_.service on one machine under a per-machine seed derived
-  /// from the trial seed and `salt` (a stable per-deployment machine index),
-  /// so service-time draws are independent across machines yet bit-identical
-  /// between a fresh construction and a pooled reset.
-  void configure_machine_service(osl::Machine& machine, std::uint64_t salt);
-
-  /// Subclass half of reset(): return machines/replicas/proxies to their
-  /// just-constructed state (reset + re-watch each machine) under the
-  /// already-updated config_.
-  virtual void reset_components() = 0;
-
-  /// The network/obfuscation configs a LiveConfig implies — shared by
-  /// construction and reset() so the seed-derivation scheme lives in one
-  /// place.
-  static net::NetworkConfig net_config_for(const LiveConfig& config);
-  static osl::ObfuscationConfig obf_config_for(const LiveConfig& config);
 
   sim::Simulator& sim_;
   LiveConfig config_;
+  const model::SystemKind kind_;
   crypto::KeyRegistry registry_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<osl::ObfuscationScheduler> scheduler_;
   Directory directory_;
   std::unique_ptr<NameServer> nameserver_;
+  std::vector<Node> nodes_;
   std::optional<sim::Time> failure_time_;
 };
 
@@ -186,22 +212,16 @@ class LiveS1 final : public LiveSystem {
   LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
          int n_servers = 3, const std::string& prefix = "s1");
 
-  void start() override;
-
-  osl::Machine& server_machine(int i) { return *machines_.at(static_cast<std::size_t>(i)); }
-  replication::PbReplica& server(int i) { return *replicas_.at(static_cast<std::size_t>(i)); }
-  int n_servers() const { return static_cast<int>(machines_.size()); }
+  osl::Machine& server_machine(int i) { return *node(Tier::Server, i).machine; }
+  replication::PbReplica& server(int i) {
+    return static_cast<replication::PbReplica&>(*node(Tier::Server, i).app);
+  }
+  int n_servers() const { return tier_size(Tier::Server); }
 
   std::vector<osl::Machine*> direct_attack_surface() override;
-  osl::Machine* fault_target(net::FaultEvent::Target tier, int index) override;
-  std::vector<const osl::Machine*> service_machines() const override;
 
  private:
   bool compromise_rule() const override;
-  void reset_components() override;
-
-  std::vector<std::unique_ptr<osl::Machine>> machines_;
-  std::vector<std::unique_ptr<replication::PbReplica>> replicas_;
 };
 
 /// S0: 1-tier state-machine replication (Definition 1).
@@ -211,23 +231,17 @@ class LiveS0 final : public LiveSystem {
          DeterministicServiceFactory factory, std::uint32_t f = 1,
          const std::string& prefix = "s0");
 
-  void start() override;
-
-  osl::Machine& server_machine(int i) { return *machines_.at(static_cast<std::size_t>(i)); }
-  replication::SmrReplica& server(int i) { return *replicas_.at(static_cast<std::size_t>(i)); }
-  int n_servers() const { return static_cast<int>(machines_.size()); }
-  int currently_compromised() const;
+  osl::Machine& server_machine(int i) { return *node(Tier::Server, i).machine; }
+  replication::SmrReplica& server(int i) {
+    return static_cast<replication::SmrReplica&>(*node(Tier::Server, i).app);
+  }
+  int n_servers() const { return tier_size(Tier::Server); }
+  int currently_compromised() const { return compromised_in(Tier::Server); }
 
   std::vector<osl::Machine*> direct_attack_surface() override;
-  osl::Machine* fault_target(net::FaultEvent::Target tier, int index) override;
-  std::vector<const osl::Machine*> service_machines() const override;
 
  private:
   bool compromise_rule() const override;
-  void reset_components() override;
-
-  std::vector<std::unique_ptr<osl::Machine>> machines_;
-  std::vector<std::unique_ptr<replication::SmrReplica>> replicas_;
 };
 
 /// S2: the FORTRESS deployment (Definition 3).
@@ -237,34 +251,31 @@ class LiveS2 final : public LiveSystem {
          int n_servers = 3, int n_proxies = 3,
          const std::string& prefix = "s2");
 
-  void start() override;
-
-  osl::Machine& proxy_machine(int i) { return *proxy_machines_.at(static_cast<std::size_t>(i)); }
-  osl::Machine& server_machine(int i) { return *server_machines_.at(static_cast<std::size_t>(i)); }
-  proxy::ProxyNode& proxy(int i) { return *proxies_.at(static_cast<std::size_t>(i)); }
-  replication::PbReplica& server(int i) { return *replicas_.at(static_cast<std::size_t>(i)); }
-  int n_proxies() const { return static_cast<int>(proxy_machines_.size()); }
-  int n_servers() const { return static_cast<int>(server_machines_.size()); }
+  osl::Machine& proxy_machine(int i) { return *node(Tier::Proxy, i).machine; }
+  osl::Machine& server_machine(int i) { return *node(Tier::Server, i).machine; }
+  proxy::ProxyNode& proxy(int i) {
+    return static_cast<proxy::ProxyNode&>(*node(Tier::Proxy, i).app);
+  }
+  replication::PbReplica& server(int i) {
+    return static_cast<replication::PbReplica&>(*node(Tier::Server, i).app);
+  }
+  int n_proxies() const { return tier_size(Tier::Proxy); }
+  int n_servers() const { return tier_size(Tier::Server); }
   /// The server addresses, which clients never learn (attack code uses them
   /// only through a compromised proxy's identity).
   const std::vector<net::Address>& server_addresses() const { return server_addrs_; }
-  int currently_compromised_proxies() const;
+  int currently_compromised_proxies() const {
+    return compromised_in(Tier::Proxy);
+  }
 
   std::vector<osl::Machine*> direct_attack_surface() override;
   std::vector<osl::Machine*> launchpad_machines() override;
   std::vector<net::Address> hidden_server_addresses() const override;
-  osl::Machine* fault_target(net::FaultEvent::Target tier, int index) override;
   std::uint64_t blacklisted_sources() const override;
-  std::vector<const osl::Machine*> service_machines() const override;
 
  private:
   bool compromise_rule() const override;
-  void reset_components() override;
 
-  std::vector<std::unique_ptr<osl::Machine>> proxy_machines_;
-  std::vector<std::unique_ptr<osl::Machine>> server_machines_;
-  std::vector<std::unique_ptr<proxy::ProxyNode>> proxies_;
-  std::vector<std::unique_ptr<replication::PbReplica>> replicas_;
   std::vector<net::Address> server_addrs_;
 };
 

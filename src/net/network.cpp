@@ -16,11 +16,8 @@ const char* to_string(CloseReason reason) {
 
 Network::Network(sim::Simulator& sim, std::unique_ptr<LatencyModel> latency,
                  NetworkConfig config)
-    : sim_(sim),
-      latency_(std::move(latency)),
-      config_(std::move(config)),
-      rng_(config_.rng_seed) {
-  FORTRESS_EXPECTS(latency_ != nullptr);
+    : sim_(sim) {
+  reset(std::move(latency), std::move(config));
 }
 
 NetworkConfig NetworkConfig::from_plan(const ScenarioPlan& plan,
@@ -46,7 +43,7 @@ void Network::reset(std::unique_ptr<LatencyModel> latency,
   config_ = std::move(config);
   rng_ = Rng(config_.rng_seed);
   // Interner and buffer pool survive (the arena-reuse contract); the host
-  // and connection tables restart exactly as freshly constructed.
+  // and connection tables restart empty.
   std::fill(hosts_.begin(), hosts_.end(), nullptr);
   conns_.clear();
   conn_free_head_ = kNilSlot;

@@ -186,14 +186,15 @@ class Network {
   Network(sim::Simulator& sim, const ScenarioPlan& plan,
           std::uint64_t rng_seed);
 
-  /// Return to the freshly-constructed state under a new behaviour
-  /// (latency model + config): all hosts detach silently (no closure
-  /// notifications — the simulation they belonged to is over), all
-  /// connections drop, counters and the RNG stream restart. The address
-  /// interner and the payload-buffer pool survive — that is the campaign
-  /// trial-arena reuse path: a rebuilt deployment re-interns the same
-  /// addresses to the same ids. The simulator should be reset by the
-  /// caller as well, since in-flight deliveries are scheduled events.
+  /// Start over under a new behaviour (latency model + config): all hosts
+  /// detach silently (no closure notifications — the simulation they
+  /// belonged to is over), all connections drop, counters and the RNG
+  /// stream restart. The constructor delegates here, so this is the one
+  /// place that state is initialized. The address interner and the
+  /// payload-buffer pool survive — that is the campaign trial-arena reuse
+  /// path: a rebuilt deployment re-interns the same addresses to the same
+  /// ids. The simulator should be reset by the caller as well, since
+  /// in-flight deliveries are scheduled events.
   void reset(std::unique_ptr<LatencyModel> latency, NetworkConfig config);
 
   // --- the address/id boundary ---------------------------------------------

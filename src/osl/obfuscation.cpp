@@ -7,11 +7,8 @@ namespace fortress::osl {
 ObfuscationScheduler::ObfuscationScheduler(sim::Simulator& sim,
                                            ObfuscationConfig config)
     : sim_(sim),
-      config_(config),
-      rng_(config.rng_seed),
       timer_(sim, config.step_duration, [this] { step_boundary(); }) {
-  FORTRESS_EXPECTS(config.step_duration > 0);
-  FORTRESS_EXPECTS(config.period >= 1);
+  reset(config);
 }
 
 void ObfuscationScheduler::add_machine(Machine& machine) {

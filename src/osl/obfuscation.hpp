@@ -67,11 +67,11 @@ class ObfuscationScheduler {
   void start();
   void stop();
 
-  /// Return to the pre-boot state under a new config, KEEPING the machine
+  /// Enter the pre-boot state under `config`, KEEPING the machine
   /// registrations (they are structural) but forgetting the step count, the
-  /// RNG stream and all timers. Caller must have reset the simulator (the
-  /// timers' pending events live there) and the machines; boot_all()/start()
-  /// then replay exactly as after construction.
+  /// RNG stream and all timers. The constructor delegates here, so this is
+  /// the one place that state is initialized. Caller must have reset the
+  /// simulator (the timers' pending events live there) and the machines.
   void reset(const ObfuscationConfig& config);
 
   std::uint64_t steps_completed() const { return steps_; }

@@ -73,21 +73,58 @@ void apply_fault(core::LiveSystem& sys, const net::FaultEvent& fault) {
   }
 }
 
-/// The trial driver shared by the fresh-stack path (run_trial) and the
-/// pooled path (TrialArena::run): schedule the plan's faults, wire the
-/// attacker, simulate to compromise or horizon, collect the outcome.
-/// `live` must be freshly constructed or freshly reset for (plan, seed).
-/// `pool` (nullable) carries a pooled attacker across trials: when the
-/// wiring this trial needs matches the cached shape, the attacker is
-/// reset in place; otherwise it is rebuilt (and cached when pooled).
-/// `pop_pool` (nullable) likewise carries a pooled ClientPopulation; its
-/// reset() handles any shape change, so pooled populations always hit.
-TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
-                         const net::ScenarioPlan& plan, std::uint64_t seed,
-                         AttackerPool* pool,
-                         std::unique_ptr<core::ClientPopulation>* pop_pool) {
+}  // namespace
+
+TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
+                       std::uint64_t seed) {
+  return run_trial(system, plan, seed, sim::default_scheduler_kind());
+}
+
+TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
+                       std::uint64_t seed, sim::SchedulerKind scheduler) {
+  return TrialArena(scheduler).run(system, plan, seed);
+}
+
+TrialArena::TrialArena() = default;
+TrialArena::TrialArena(sim::SchedulerKind scheduler) : sim_(scheduler) {}
+TrialArena::~TrialArena() = default;
+
+TrialOutcome TrialArena::run(model::SystemKind system,
+                             const net::ScenarioPlan& plan,
+                             std::uint64_t seed) {
+#ifndef NDEBUG
+  // Debug builds validate the FULL plan here so a malformed hand-authored
+  // plan fails with a precise PlanValidationError at the trial boundary.
+  // Release builds skip it: make_live_system and LiveSystem::reset validate
+  // the fields they consume (via NetworkConfig::from_plan), and campaigns
+  // already validate every cell before fanning out — per-trial
+  // re-validation would be pure repeated work in the hot path.
+  plan.validate();
+#endif
+  if (live_ != nullptr && live_->deploys(system, plan)) {
+    // Invalidate the previous trial's pending events first: LiveSystem
+    // components treat their stored EventIds as stale-after-reset.
+    sim_.reset();
+    live_->reset(plan, seed);
+  } else {
+    // Another shape (or first use): tear down the attacker and population,
+    // then the deployment (in that order — both point at the deployment's
+    // machines/network) while the network is still alive, then rebuild on
+    // the reused simulator — the event slab keeps its capacity either way.
+    attacker_.reset();
+    population_.reset();
+    live_.reset();
+    sim_.reset();
+    live_ = core::make_live_system(sim_, system, plan, seed);
+  }
+  return drive(plan, seed);
+}
+
+TrialOutcome TrialArena::drive(const net::ScenarioPlan& plan,
+                               std::uint64_t seed) {
+  core::LiveSystem& live = *live_;
   live.start();
-  live.on_failure = [&sim] { sim.request_stop(); };
+  live.on_failure = [this] { sim_.request_stop(); };
 
   const sim::Time horizon =
       plan.step_duration * static_cast<sim::Time>(plan.horizon_steps);
@@ -100,44 +137,37 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
     // pure dead work.
     if (fault.at >= horizon) continue;
     core::LiveSystem* sys = &live;
-    sim.schedule_at(fault.at, [sys, fault] { apply_fault(*sys, fault); });
+    sim_.schedule_at(fault.at, [sys, fault] { apply_fault(*sys, fault); });
   }
 
   TrialOutcome out;
-  // Construction order — population, then traffic, then attacker — is
-  // identical on the fresh and pooled paths, so every plane interns its
-  // addresses in the same order everywhere; interning order is part of the
-  // determinism contract.
-  core::ClientPopulation* population = nullptr;
-  std::unique_ptr<core::ClientPopulation> pop_local;  // fresh-path ownership
+  // Construction order — population, then traffic, then attacker — is the
+  // same for every trial, so every plane interns its addresses in the same
+  // order everywhere; interning order is part of the determinism contract.
   if (plan.population.enabled()) {
     const std::uint64_t pop_seed = seed ^ 0x50B5CA1EULL;
-    if (pop_pool != nullptr && *pop_pool != nullptr) {
-      (*pop_pool)->reset(live.directory(), plan.population, horizon, pop_seed);
-      population = pop_pool->get();
+    if (population_ != nullptr) {
+      population_->reset(live.directory(), plan.population, horizon, pop_seed);
     } else {
-      pop_local = std::make_unique<core::ClientPopulation>(
-          sim, live.network(), live.registry(), live.directory(),
+      population_ = std::make_unique<core::ClientPopulation>(
+          sim_, live.network(), live.registry(), live.directory(),
           plan.population, horizon, pop_seed);
-      population = pop_local.get();
-      if (pop_pool != nullptr) *pop_pool = std::move(pop_local);
     }
-  } else if (pop_pool != nullptr) {
+  } else {
     // A population pooled by an earlier plan must not linger half-wired.
-    pop_pool->reset();
+    population_.reset();
   }
   std::unique_ptr<TrafficGenerator> traffic;
   if (plan.traffic.enabled()) {
     traffic = std::make_unique<TrafficGenerator>(
-        sim, live.network(), live.registry(), live.directory(), plan.traffic,
+        sim_, live.network(), live.registry(), live.directory(), plan.traffic,
         horizon, seed ^ 0x7AFF1CULL);
   }
   attack::DerandAttacker* attacker = nullptr;
-  std::unique_ptr<attack::DerandAttacker> local;  // fresh-path ownership
   if (plan.attack.enabled) {
     // Give the deployment its dial-in window before the attack begins.
     out.events_executed +=
-        sim.run_until(std::min(plan.attack.start_time, horizon));
+        sim_.run_until(std::min(plan.attack.start_time, horizon));
 
     attack::AttackerConfig acfg;
     acfg.keyspace = plan.keyspace;
@@ -149,48 +179,34 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
     acfg.seed = seed ^ 0xA77AC4E2ULL;
 
     const std::vector<net::Address> hidden = live.hidden_server_addresses();
-    const bool indirect_active =
-        !hidden.empty() && acfg.indirect_probes_per_step > 0.0;
-    const bool pool_hit = pool != nullptr && pool->attacker != nullptr &&
-                          pool->direct_wired == plan.attack.direct_enabled &&
-                          pool->sybils == acfg.sybil_identities &&
-                          (!indirect_active || pool->indirect_wired);
-    if (pool_hit) {
-      pool->attacker->reset(acfg, indirect_active);
-      attacker = pool->attacker.get();
-    } else {
-      // Destroy a stale pooled attacker BEFORE wiring the new one: its
-      // destructor detaches the shared attacker identities.
-      if (pool != nullptr) pool->attacker.reset();
-      local =
-          std::make_unique<attack::DerandAttacker>(sim, live.network(), acfg);
+    if (attacker_ == nullptr ||
+        attacker_direct_ != plan.attack.direct_enabled ||
+        attacker_sybils_ != acfg.sybil_identities) {
+      attacker_ =
+          std::make_unique<attack::DerandAttacker>(sim_, live.network(), acfg);
       if (plan.attack.direct_enabled) {
         for (osl::Machine* target : live.direct_attack_surface()) {
-          local->add_direct_target(*target);
+          attacker_->add_direct_target(*target);
         }
+      }
+      for (osl::Machine* pad : live.launchpad_machines()) {
+        attacker_->add_launchpad(*pad, hidden);
       }
       if (!hidden.empty()) {
-        for (osl::Machine* pad : live.launchpad_machines()) {
-          local->add_launchpad(*pad, hidden);
-        }
-        if (indirect_active) {
-          local->set_indirect_channel(live.directory().proxies);
-        }
+        attacker_->set_indirect_channel(live.directory().proxies);
       }
-      attacker = local.get();
-      if (pool != nullptr) {
-        pool->attacker = std::move(local);
-        pool->direct_wired = plan.attack.direct_enabled;
-        pool->indirect_wired = indirect_active;
-        pool->sybils = acfg.sybil_identities;
-      }
+      attacker_direct_ = plan.attack.direct_enabled;
+      attacker_sybils_ = acfg.sybil_identities;
     }
+    attacker_->reset(acfg,
+                     !hidden.empty() && acfg.indirect_probes_per_step > 0.0);
+    attacker = attacker_.get();
     if (!live.failed()) attacker->start();
   }
 
   // on_failure stops the run; don't re-enter (run_until re-arms the stop
   // flag) once the outcome is decided.
-  if (!live.failed()) out.events_executed += sim.run_until(horizon);
+  if (!live.failed()) out.events_executed += sim_.run_until(horizon);
 
   out.compromised = live.failed();
   out.lifetime_steps = live.failure_step().value_or(plan.horizon_steps);
@@ -207,7 +223,7 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
             ? static_cast<double>(out.traffic.completed) / horizon
             : 0.0;
   }
-  if (population != nullptr) out.population = population->stats();
+  if (population_ != nullptr) out.population = population_->stats();
   if (plan.service.enabled) {
     for (const osl::Machine* m : live.service_machines()) {
       const osl::OverloadStats& os = m->overload();
@@ -222,64 +238,6 @@ TrialOutcome drive_trial(sim::Simulator& sim, core::LiveSystem& live,
     }
   }
   return out;
-}
-
-}  // namespace
-
-TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
-                       std::uint64_t seed) {
-  return run_trial(system, plan, seed, sim::default_scheduler_kind());
-}
-
-TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
-                       std::uint64_t seed, sim::SchedulerKind scheduler) {
-#ifndef NDEBUG
-  // Debug builds validate the FULL plan here so a malformed hand-authored
-  // plan fails with a precise PlanValidationError at the trial boundary.
-  // Release builds skip it: make_live_system below validates the fields it
-  // consumes (via NetworkConfig::from_plan), and campaigns already validate
-  // every cell before fanning out — per-trial re-validation would be pure
-  // repeated work in the hot path.
-  plan.validate();
-#endif
-  sim::Simulator sim(scheduler);
-  std::unique_ptr<core::LiveSystem> live =
-      core::make_live_system(sim, system, plan, seed);
-  return drive_trial(sim, *live, plan, seed, /*pool=*/nullptr,
-                     /*pop_pool=*/nullptr);
-}
-
-TrialArena::TrialArena() = default;
-TrialArena::TrialArena(sim::SchedulerKind scheduler) : sim_(scheduler) {}
-TrialArena::~TrialArena() = default;
-
-TrialOutcome TrialArena::run(model::SystemKind system,
-                             const net::ScenarioPlan& plan,
-                             std::uint64_t seed) {
-  const bool reusable = live_ != nullptr && built_system_ == system &&
-                        built_servers_ == plan.n_servers &&
-                        built_proxies_ == plan.n_proxies;
-  if (reusable) {
-    // Invalidate the previous trial's pending events first: LiveSystem
-    // components treat their stored EventIds as stale-after-reset.
-    sim_.reset();
-    live_->reset(plan, seed);
-  } else {
-    // Structural mismatch (or first use): tear down the old attacker and
-    // population, then the deployment (in that order — both point at the
-    // deployment's machines/network) while the network is still alive,
-    // then rebuild on the reused simulator — the event slab keeps its
-    // capacity across trials either way.
-    attacker_pool_.attacker.reset();
-    population_.reset();
-    live_.reset();
-    sim_.reset();
-    live_ = core::make_live_system(sim_, system, plan, seed);
-    built_system_ = system;
-    built_servers_ = plan.n_servers;
-    built_proxies_ = plan.n_proxies;
-  }
-  return drive_trial(sim_, *live_, plan, seed, &attacker_pool_, &population_);
 }
 
 std::vector<StoppingRule> AdaptiveConfig::effective_rules() const {

@@ -9,7 +9,8 @@
 // (base_seed, cell index, trial index), so trials parallelize
 // embarrassingly over exec::ThreadPool; isolation comes either from a
 // fresh Simulator+Network+LiveSystem per trial or (the default) from a
-// per-worker pooled stack reset between trials (TrialArena).
+// per-worker pooled stack reset between trials (TrialArena) — both run
+// through the same TrialArena driver and per-trial initialization.
 //
 // Determinism contract: per-trial outcomes depend only on the trial's
 // derived seed, results land in a slot indexed by the round's task index,
@@ -94,8 +95,9 @@ struct TrialOutcome {
 /// Run one live experiment: build the deployment `plan` describes for
 /// `system`, schedule the plan's faults, wire the plan's attacker to the
 /// system's attack surface, and simulate until compromise or the plan
-/// horizon. Deterministic in (system, plan, seed) — and bit-identical for
-/// either scheduler kind (the wheel/heap differential tests pin this).
+/// horizon. A one-shot TrialArena (below). Deterministic in (system, plan,
+/// seed) — and bit-identical for either scheduler kind (the wheel/heap
+/// differential tests pin this).
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
                        std::uint64_t seed);
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
@@ -292,26 +294,15 @@ std::vector<CampaignCell> cross(const std::vector<model::SystemKind>& systems,
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell,
                          std::uint64_t trial);
 
-/// Implementation detail of the pooled trial path: the attacker pooled
-/// alongside a TrialArena's deployment (its channels point at the
-/// deployment's machines). Reused via DerandAttacker::reset when the
-/// wiring a fresh trial would produce matches the cached shape flags,
-/// rebuilt otherwise — see drive_trial in campaign.cpp.
-struct AttackerPool {
-  std::unique_ptr<attack::DerandAttacker> attacker;
-  bool direct_wired = false;
-  bool indirect_wired = false;
-  unsigned sybils = 0;
-};
-
 /// A reusable live-trial stack: one Simulator + (lazily built) LiveSystem
 /// that successive trials reset instead of reconstruct. Reuse keeps the
 /// simulator's event slab at its high-water mark and the deployment's
 /// machines/replicas/proxies/network allocated; only per-trial state is
-/// re-initialized. When the requested cell's structural shape (system
-/// class, tier sizes) differs from the cached one, the stack is rebuilt
-/// fresh — campaign rounds iterate cells in order, so consecutive trials
-/// usually hit.
+/// re-initialized, by the same functions a fresh build ends in. When the
+/// requested cell deploys another shape (system class or tier sizes, as
+/// LiveSystem::deploys decides), the stack is rebuilt — campaign rounds
+/// iterate cells in order, so consecutive trials usually hit. run_trial is
+/// a one-shot arena, so the fresh and pooled paths share this one driver.
 ///
 /// run() returns TrialOutcomes bit-identical to the free run_trial() for
 /// every (system, plan, seed) — pooling is a pure setup-cost optimization
@@ -329,16 +320,22 @@ class TrialArena {
                    std::uint64_t seed);
 
  private:
+  /// Schedule the plan's faults, bring up the population, traffic and
+  /// attacker planes, simulate to compromise or horizon and collect the
+  /// outcome. live_ must be freshly built or freshly reset for (plan, seed).
+  TrialOutcome drive(const net::ScenarioPlan& plan, std::uint64_t seed);
+
   sim::Simulator sim_;
   std::unique_ptr<core::LiveSystem> live_;
-  model::SystemKind built_system_ = model::SystemKind::S2;
-  int built_servers_ = 0;
-  int built_proxies_ = 0;
 
-  /// Pooled population plane; destroyed before live_ (it detaches from the
-  /// deployment's network) by declaration order.
+  // Planes pooled alongside live_, destroyed before it (both point at its
+  // machines/network) by declaration order. The population's reset()
+  // handles any shape change; the attacker is rebuilt when a trial needs
+  // other wiring (direct channels on or off, another sybil count).
   std::unique_ptr<core::ClientPopulation> population_;
-  AttackerPool attacker_pool_;
+  std::unique_ptr<attack::DerandAttacker> attacker_;
+  bool attacker_direct_ = false;
+  unsigned attacker_sybils_ = 0;
 };
 
 }  // namespace fortress::scenario

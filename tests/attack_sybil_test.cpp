@@ -46,6 +46,7 @@ Outcome run(unsigned sybil_identities, double total_rate) {
   acfg.seed = 29;
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.set_indirect_channel(system.directory().proxies);
+  attacker.reset(acfg, /*indirect_active=*/true);
   attacker.start();
 
   sim.run_until(100.0 * 100);

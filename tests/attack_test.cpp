@@ -47,11 +47,12 @@ TEST(AttackTest, DirectAttackBreaksS1UnderRecovery) {
   core::LiveS1 system(sim, cfg, kv_factory());
   system.start();
 
-  DerandAttacker attacker(sim, system.network(),
-                          attacker_config(cfg.keyspace, 16.0, 0.0));
+  const AttackerConfig acfg = attacker_config(cfg.keyspace, 16.0, 0.0);
+  DerandAttacker attacker(sim, system.network(), acfg);
   for (int i = 0; i < system.n_servers(); ++i) {
     attacker.add_direct_target(system.server_machine(i));
   }
+  attacker.reset(acfg, /*indirect_active=*/false);
   attacker.start();
   sim.run_until(100.0 * 30);
 
@@ -67,9 +68,10 @@ TEST(AttackTest, AttackerObservesCrashesThroughItsConnection) {
   auto cfg = live_config(osl::ObfuscationPolicy::Recover);
   core::LiveS1 system(sim, cfg, kv_factory());
   system.start();
-  DerandAttacker attacker(sim, system.network(),
-                          attacker_config(cfg.keyspace, 8.0, 0.0));
+  const AttackerConfig acfg = attacker_config(cfg.keyspace, 8.0, 0.0);
+  DerandAttacker attacker(sim, system.network(), acfg);
   attacker.add_direct_target(system.server_machine(0));
+  attacker.reset(acfg, /*indirect_active=*/false);
   attacker.start();
   sim.run_until(500.0);
   // Every wrong probe produced an observable crash (the [Shacham04] loop).
@@ -88,6 +90,7 @@ TEST(AttackTest, RecoveryDoesNotEvictAttackerKnowledge) {
   acfg.step_duration = 50.0;
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.add_direct_target(system.server_machine(0));
+  attacker.reset(acfg, /*indirect_active=*/false);
   attacker.start();
   sim.run_until(3000.0);
   ASSERT_TRUE(system.failed());
@@ -105,11 +108,12 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
   auto so_cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
   core::LiveS1 so_system(sim, so_cfg, kv_factory());
   so_system.start();
-  DerandAttacker so_attacker(sim, so_system.network(),
-                             attacker_config(so_cfg.keyspace, 64.0, 0.0));
+  const AttackerConfig so_acfg = attacker_config(so_cfg.keyspace, 64.0, 0.0);
+  DerandAttacker so_attacker(sim, so_system.network(), so_acfg);
   for (int i = 0; i < so_system.n_servers(); ++i) {
     so_attacker.add_direct_target(so_system.server_machine(i));
   }
+  so_attacker.reset(so_acfg, /*indirect_active=*/false);
   so_attacker.start();
   sim.run_until(100.0 * 40);
   EXPECT_TRUE(so_system.failed());  // 1024/64 = 16 steps to sweep
@@ -118,11 +122,12 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
   auto po_cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 1 << 10);
   core::LiveS1 po_system(sim2, po_cfg, kv_factory());
   po_system.start();
-  DerandAttacker po_attacker(sim2, po_system.network(),
-                             attacker_config(po_cfg.keyspace, 8.0, 0.0));
+  const AttackerConfig po_acfg = attacker_config(po_cfg.keyspace, 8.0, 0.0);
+  DerandAttacker po_attacker(sim2, po_system.network(), po_acfg);
   for (int i = 0; i < po_system.n_servers(); ++i) {
     po_attacker.add_direct_target(po_system.server_machine(i));
   }
+  po_attacker.reset(po_acfg, /*indirect_active=*/false);
   po_attacker.start();
   sim2.run_until(100.0 * 40);
   // Per-step success ~ 8/1024; 40 steps: P(fail) ~ 27%. Seeded: expect
@@ -141,6 +146,7 @@ TEST(AttackTest, IndirectProbesCrashServersWithoutAttackerFeedback) {
   AttackerConfig acfg = attacker_config(cfg.keyspace, 4.0, 8.0);
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.set_indirect_channel(system.directory().proxies);
+  attacker.reset(acfg, /*indirect_active=*/true);
   attacker.start();
   sim.run_until(2000.0);
 
@@ -171,9 +177,10 @@ TEST(AttackTest, BlacklistingShutsDownIndirectChannel) {
   system.start();
   sim.run_until(5.0);
 
-  DerandAttacker attacker(sim, system.network(),
-                          attacker_config(cfg.keyspace, 4.0, 16.0));
+  const AttackerConfig acfg = attacker_config(cfg.keyspace, 4.0, 16.0);
+  DerandAttacker attacker(sim, system.network(), acfg);
   attacker.set_indirect_channel(system.directory().proxies);
+  attacker.reset(acfg, /*indirect_active=*/true);
   attacker.start();
   sim.run_until(5000.0);
 
@@ -203,13 +210,14 @@ TEST(AttackTest, CompromisedProxyBecomesLaunchpad) {
   system.start();
   sim.run_until(5.0);
 
-  DerandAttacker attacker(sim, system.network(),
-                          attacker_config(64, 16.0, 0.0));
+  const AttackerConfig acfg = attacker_config(64, 16.0, 0.0);
+  DerandAttacker attacker(sim, system.network(), acfg);
   for (int i = 0; i < system.n_proxies(); ++i) {
     attacker.add_direct_target(system.proxy_machine(i));
     attacker.add_launchpad(system.proxy_machine(i),
                            system.server_addresses());
   }
+  attacker.reset(acfg, /*indirect_active=*/false);
   attacker.start();
   sim.run_until(100.0 * 60);
 
@@ -239,6 +247,7 @@ TEST(AttackTest, FortressOutlastsUnfortifiedUnderIdenticalAttack) {
     for (int i = 0; i < system.n_servers(); ++i) {
       attacker.add_direct_target(system.server_machine(i));
     }
+    attacker.reset(acfg, /*indirect_active=*/false);
     attacker.start();
     sim.run_until(100.0 * 200);
     return system.failure_step().value_or(200);
@@ -260,6 +269,7 @@ TEST(AttackTest, FortressOutlastsUnfortifiedUnderIdenticalAttack) {
                              system.server_addresses());
     }
     attacker.set_indirect_channel(system.directory().proxies);
+    attacker.reset(acfg, /*indirect_active=*/true);
     attacker.start();
     sim.run_until(100.0 * 200);
     return system.failure_step().value_or(200);

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "analysis/markov.hpp"
 #include "core/live_system.hpp"
 #include "exec/thread_pool.hpp"
 #include "replication/service.hpp"
+#include "scenario/corpus.hpp"
 
 namespace fortress::scenario {
 namespace {
@@ -301,6 +305,43 @@ void expect_outcomes_equal(const TrialOutcome& a, const TrialOutcome& b) {
   EXPECT_EQ(a.attacker.crashes_caused, b.attacker.crashes_caused);
   EXPECT_EQ(a.attacker.compromises, b.attacker.compromises);
   EXPECT_EQ(a.attacker.keys_learned, b.attacker.keys_learned);
+  // Traffic plane, including the overload counters summed over machines.
+  const TrafficStats& ta = a.traffic;
+  const TrafficStats& tb = b.traffic;
+  EXPECT_EQ(ta.offered, tb.offered);
+  EXPECT_EQ(ta.completed, tb.completed);
+  EXPECT_EQ(ta.timed_out, tb.timed_out);
+  EXPECT_EQ(ta.gave_up, tb.gave_up);
+  EXPECT_EQ(ta.retries, tb.retries);
+  EXPECT_EQ(ta.rejected_responses, tb.rejected_responses);
+  EXPECT_EQ(ta.enqueued, tb.enqueued);
+  EXPECT_EQ(ta.served, tb.served);
+  EXPECT_EQ(ta.shed, tb.shed);
+  EXPECT_EQ(ta.backpressured, tb.backpressured);
+  EXPECT_EQ(ta.degraded, tb.degraded);
+  EXPECT_EQ(ta.dropped_on_reboot, tb.dropped_on_reboot);
+  EXPECT_EQ(ta.max_queue_depth, tb.max_queue_depth);
+  EXPECT_EQ(ta.goodput, tb.goodput);
+  EXPECT_EQ(ta.latency.fingerprint(), tb.latency.fingerprint());
+  // Population plane.
+  const core::PopulationStats& pa = a.population;
+  const core::PopulationStats& pb = b.population;
+  EXPECT_EQ(pa.offered, pb.offered);
+  EXPECT_EQ(pa.completed, pb.completed);
+  EXPECT_EQ(pa.timed_out, pb.timed_out);
+  EXPECT_EQ(pa.gave_up, pb.gave_up);
+  EXPECT_EQ(pa.retries, pb.retries);
+  EXPECT_EQ(pa.rejected_responses, pb.rejected_responses);
+  EXPECT_EQ(pa.skipped_busy, pb.skipped_busy);
+  EXPECT_EQ(pa.latency.fingerprint(), pb.latency.fingerprint());
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
 }
 
 TEST(TrialArenaTest, ArenaTrialsMatchFreshTrials) {
@@ -327,6 +368,21 @@ TEST(TrialArenaTest, ArenaTrialsMatchFreshTrials) {
   net::ScenarioPlan quiet = fast_plan(64, 8.0, 0.5, 10);
   quiet.name = "quiet";
   quiet.attack.enabled = false;
+  // Every plane at once: the committed diurnal corpus entry (traffic and a
+  // 2048-client population) with the bounded service queues switched on.
+  net::ScenarioPlan churn =
+      corpus_entry_from_json(
+          slurp(FORTRESS_SCENARIO_DIR "/diurnal_churn.json"))
+          .plan;
+  churn.service.enabled = true;
+  // Shapes the deployed system does not distinguish: S1 deploys no
+  // proxies, and S0 deploys 3f+1 = 4 replicas for 3 and 4 servers alike.
+  net::ScenarioPlan small_wide = small;
+  small_wide.name = "small-wide";
+  small_wide.n_proxies = 4;
+  net::ScenarioPlan small_four = small;
+  small_four.name = "small-four";
+  small_four.n_servers = 4;
 
   struct Case {
     model::SystemKind system;
@@ -352,6 +408,12 @@ TEST(TrialArenaTest, ArenaTrialsMatchFreshTrials) {
       {model::SystemKind::S2, &quiet, 22},          // no attacker at all
       {model::SystemKind::S2, &small, 23},          // attacker rebuild again
       {model::SystemKind::S2, &direct_only, 24},  // reuse, indirect inactive
+      {model::SystemKind::S2, &churn, 25},        // every plane
+      {model::SystemKind::S2, &churn, 26},        // population reset
+      {model::SystemKind::S1, &small, 27},        // rebuild: class change
+      {model::SystemKind::S1, &small_wide, 28},   // reuse: n_proxies only
+      {model::SystemKind::S0, &small, 29},        // rebuild: SMR quorum
+      {model::SystemKind::S0, &small_four, 30},   // reuse: still 3f+1 = 4
   };
 
   TrialArena arena;

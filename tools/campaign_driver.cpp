@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "scenario/shard.hpp"
 
 namespace {
@@ -78,8 +79,10 @@ Options parse_options(const std::vector<std::string>& args) {
     if (a == "--spec") o.spec_path = next();
     else if (a == "--out") o.out_path = next();
     else if (a == "--out-dir") o.out_dir = next();
-    else if (a == "--shard") o.shard = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (a == "--shards") o.n_shards = static_cast<std::uint32_t>(std::stoul(next()));
+    else if (a == "--shard")
+      o.shard = tools::parse_unsigned<std::uint32_t>(a, next());
+    else if (a == "--shards")
+      o.n_shards = tools::parse_unsigned<std::uint32_t>(a, next());
     else if (!a.empty() && a[0] == '-') {
       throw std::runtime_error("unknown option " + a);
     } else {

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "scenario/corpus.hpp"
 #include "scenario/differential.hpp"
 #include "scenario/minimize.hpp"
@@ -153,8 +154,10 @@ int cmd_minimize(const std::vector<std::string>& args) {
     };
     if (a == "--pred") pred_name = next();
     else if (a == "--systems") diff.systems = parse_systems(next());
-    else if (a == "--trials") diff.trials_per_cell = std::stoull(next());
-    else if (a == "--seed") diff.base_seed = std::stoull(next());
+    else if (a == "--trials")
+      diff.trials_per_cell = tools::parse_unsigned<std::uint64_t>(a, next());
+    else if (a == "--seed")
+      diff.base_seed = tools::parse_unsigned<std::uint64_t>(a, next());
     else if (!a.empty() && a[0] == '-') {
       throw std::runtime_error("unknown option " + a);
     } else if (path.empty()) {
@@ -232,13 +235,14 @@ int main(int argc, char** argv) {
     if (cmd == "digest" && args.size() == 1) return cmd_digest(args[0]);
     if (cmd == "check" && !args.empty()) return cmd_check(args);
     if (cmd == "capture" && args.size() == 1) return cmd_capture(args[0]);
-    if (cmd == "gen" && (args.size() == 1 || args.size() == 2)) {
-      return cmd_gen(std::stoull(args[0]),
-                     args.size() == 2 ? std::stoull(args[1]) : 1);
-    }
-    if (cmd == "fuzz" && (args.size() == 1 || args.size() == 2)) {
-      return cmd_fuzz(std::stoull(args[0]),
-                      args.size() == 2 ? std::stoull(args[1]) : 8);
+    if ((cmd == "gen" || cmd == "fuzz") &&
+        (args.size() == 1 || args.size() == 2)) {
+      const auto seed = tools::parse_unsigned<std::uint64_t>("<seed>", args[0]);
+      const std::uint64_t count =
+          args.size() == 2
+              ? tools::parse_unsigned<std::uint64_t>("[count]", args[1])
+              : (cmd == "gen" ? 1 : 8);
+      return cmd == "gen" ? cmd_gen(seed, count) : cmd_fuzz(seed, count);
     }
     if (cmd == "minimize") return cmd_minimize(args);
   } catch (const std::exception& e) {

@@ -21,6 +21,12 @@ fork/wait, the sidecar codec and the merge's coverage checks for real.
 An empty or missing specs directory is an error, and so is a spec without
 its report pin: both are committed fixtures, losing one silently would
 disarm the gate.
+
+The driver's argument parsing is pinned too: a `shard` invocation whose
+--shard/--shards value is out of range or not a whole number (one that a
+wrapping or truncating parser would turn into a valid-looking shard) must
+exit non-zero and leave no sidecar behind. `shard` rather than `run`, so a
+driver that accepts the value runs one small shard instead of forking.
 """
 
 import argparse
@@ -44,6 +50,36 @@ def run_sharded(driver: str, spec: pathlib.Path, shards: int,
         raise RuntimeError(
             f"{spec.name}: expected {shards} sidecars, found {len(sidecars)}")
     return merged.read_bytes()
+
+
+# (--shard, --shards) pairs the driver must reject without writing anything.
+BAD_SHARD_ARGS = [
+    ("0", "4294967298"),  # wraps to 2 through a 32-bit cast
+    ("2x", "4"),          # trailing junk; a prefix parse reads 2
+    ("0", "-1"),          # negative; an unsigned parse wraps to 2^32 - 1
+]
+
+
+def check_rejects_bad_args(driver: str, spec: pathlib.Path) -> int:
+    # Absolute paths: each case runs inside its own empty directory.
+    driver = str(pathlib.Path(driver).resolve())
+    spec = spec.resolve()
+    failures = 0
+    for shard, shards in BAD_SHARD_ARGS:
+        with tempfile.TemporaryDirectory(prefix="shard_check.") as tmp:
+            proc = subprocess.run(
+                [driver, "shard", "--spec", str(spec), "--shard", shard,
+                 "--shards", shards, "--out", str(pathlib.Path(tmp) / "s.json")],
+                cwd=tmp, capture_output=True)
+            left = sorted(p.name for p in pathlib.Path(tmp).iterdir())
+        label = f"shard --shard {shard} --shards {shards}"
+        if proc.returncode == 0 or left:
+            print(f"FAIL {label}: exit {proc.returncode}, left {left}",
+                  file=sys.stderr)
+            failures += 1
+        else:
+            print(f"OK   {label} rejected")
+    return failures
 
 
 def fnv1a64(data: bytes) -> int:
@@ -103,6 +139,7 @@ def main() -> int:
             failures += 1
         else:
             print(f"OK   {spec.name}")
+    failures += check_rejects_bad_args(args.driver, specs[0])
     return 0 if failures == 0 else 1
 
 
