@@ -26,20 +26,19 @@ double live_s1_lifetime(osl::ObfuscationPolicy policy, std::uint64_t chi,
                         double omega, std::uint64_t seed,
                         std::uint64_t max_steps) {
   sim::Simulator sim;
-  core::LiveConfig cfg;
-  cfg.keyspace = chi;
-  cfg.policy = policy;
-  cfg.step_duration = 100.0;
-  cfg.latency = net::LatencySpec::uniform(0.01, 0.02);
-  cfg.seed = seed;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  net::ScenarioPlan plan;
+  plan.keyspace = chi;
+  plan.rerandomize = policy == osl::ObfuscationPolicy::Rerandomize;
+  plan.step_duration = 100.0;
+  plan.latency = net::LatencySpec::uniform(0.01, 0.02);
+  core::LiveS1 system(sim, plan, seed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
 
   attack::AttackerConfig acfg;
   acfg.keyspace = chi;
-  acfg.step_duration = cfg.step_duration;
+  acfg.step_duration = plan.step_duration;
   acfg.probes_per_step = omega;
   acfg.indirect_probes_per_step = 0.0;
   acfg.seed = seed * 7919 + 13;
@@ -50,7 +49,7 @@ double live_s1_lifetime(osl::ObfuscationPolicy policy, std::uint64_t chi,
   attacker.reset(acfg, /*indirect_active=*/false);
   attacker.start();
 
-  sim.run_until(cfg.step_duration * static_cast<double>(max_steps));
+  sim.run_until(plan.step_duration * static_cast<double>(max_steps));
   return static_cast<double>(system.failure_step().value_or(max_steps));
 }
 

@@ -30,15 +30,13 @@ struct Run {
 
 Run run_once(double rate, std::uint32_t threshold, double window) {
   sim::Simulator sim;
-  core::LiveConfig cfg;
-  cfg.keyspace = 1 << 16;  // large: the attack will not succeed by luck
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
-  cfg.step_duration = 100.0;
-  cfg.seed = 11;
-  cfg.proxy_blacklist = true;
-  cfg.detection.threshold = threshold;
-  cfg.detection.window = window;
-  core::LiveS2 system(sim, cfg,
+  net::ScenarioPlan plan;
+  plan.keyspace = 1 << 16;  // large: the attack will not succeed by luck
+  plan.step_duration = 100.0;
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = threshold;
+  plan.detection_window = window;
+  core::LiveS2 system(sim, plan, /*seed=*/11,
                       [](std::uint32_t) {
                         return std::make_unique<replication::KvService>();
                       });
@@ -46,8 +44,8 @@ Run run_once(double rate, std::uint32_t threshold, double window) {
   sim.run_until(5.0);
 
   attack::AttackerConfig acfg;
-  acfg.keyspace = cfg.keyspace;
-  acfg.step_duration = cfg.step_duration;
+  acfg.keyspace = plan.keyspace;
+  acfg.step_duration = plan.step_duration;
   acfg.probes_per_step = 0.0001;  // direct channel idle; isolate indirect
   acfg.indirect_probes_per_step = rate;
   acfg.seed = 23;

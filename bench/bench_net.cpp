@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   // --- datagram delivery ----------------------------------------------------
   {
     sim::Simulator sim;
-    net::Network net(sim, std::make_unique<net::FixedLatency>(0.0));
+    net::Network net(sim, {.latency = net::LatencySpec::fixed(0.0)});
     SinkHandler a, b;
     const net::HostId ha = net.attach("a", a);
     const net::HostId hb = net.attach("b", b);
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // --- connection send ------------------------------------------------------
   {
     sim::Simulator sim;
-    net::Network net(sim, std::make_unique<net::FixedLatency>(0.0));
+    net::Network net(sim, {.latency = net::LatencySpec::fixed(0.0)});
     SinkHandler a, b;
     const net::HostId ha = net.attach("a", a);
     const net::HostId hb = net.attach("b", b);
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   // --- connect / teardown cycle --------------------------------------------
   {
     sim::Simulator sim;
-    net::Network net(sim, std::make_unique<net::FixedLatency>(0.0));
+    net::Network net(sim, {.latency = net::LatencySpec::fixed(0.0)});
     SinkHandler a, b;
     const net::HostId ha = net.attach("a", a);
     const net::HostId hb = net.attach("b", b);

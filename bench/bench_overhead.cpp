@@ -56,14 +56,17 @@ Load drive(sim::Simulator& sim, System& system, int requests) {
   return out;
 }
 
-core::LiveConfig quiet_config() {
-  core::LiveConfig cfg;
-  cfg.keyspace = 1 << 16;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
-  cfg.step_duration = 10000.0;  // no reboot during the measurement window
-  cfg.latency = net::LatencySpec::uniform(0.4, 0.6);  // ~0.5 per hop
-  cfg.seed = 3;
-  return cfg;
+constexpr std::uint64_t kSeed = 3;
+
+/// S2 detection on (blacklisting, threshold 5); no attack comes to trip it.
+net::ScenarioPlan quiet_plan() {
+  net::ScenarioPlan plan;
+  plan.keyspace = 1 << 16;
+  plan.step_duration = 10000.0;  // no reboot during the measurement window
+  plan.latency = net::LatencySpec::uniform(0.4, 0.6);  // ~0.5 per hop
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = 5;
+  return plan;
 }
 
 }  // namespace
@@ -72,14 +75,14 @@ int main() {
   constexpr int kRequests = 300;
 
   sim::Simulator sim1;
-  core::LiveS1 s1(sim1, quiet_config(), [](std::uint32_t) {
+  core::LiveS1 s1(sim1, quiet_plan(), kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   s1.start();
   Load l1 = drive(sim1, s1, kRequests);
 
   sim::Simulator sim2;
-  core::LiveS2 s2(sim2, quiet_config(), [](std::uint32_t) {
+  core::LiveS2 s2(sim2, quiet_plan(), kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   s2.start();
@@ -87,7 +90,7 @@ int main() {
   Load l2 = drive(sim2, s2, kRequests);
 
   sim::Simulator sim0;
-  core::LiveS0 s0(sim0, quiet_config(), [](std::uint32_t) {
+  core::LiveS0 s0(sim0, quiet_plan(), kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   s0.start();

@@ -15,16 +15,15 @@ using namespace fortress;
 
 int main() {
   sim::Simulator sim;
-  core::LiveConfig cfg;
-  cfg.keyspace = 1ull << 16;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
-  cfg.step_duration = 100.0;
-  cfg.proxy_blacklist = true;
-  cfg.detection.threshold = 5;
-  cfg.detection.window = 500.0;
-  cfg.seed = 99;
+  net::ScenarioPlan plan;
+  plan.keyspace = 1ull << 16;
+  plan.rerandomize = true;
+  plan.step_duration = 100.0;
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = 5;
+  plan.detection_window = 500.0;
 
-  core::LiveS2 fortress(sim, cfg, [](std::uint32_t) {
+  core::LiveS2 fortress(sim, plan, /*seed=*/99, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   fortress.start();
@@ -43,8 +42,8 @@ int main() {
   // The de-randomization attacker probing the hidden server tier through
   // the proxies at 10 crafted requests per step.
   attack::AttackerConfig acfg;
-  acfg.keyspace = cfg.keyspace;
-  acfg.step_duration = cfg.step_duration;
+  acfg.keyspace = plan.keyspace;
+  acfg.step_duration = plan.step_duration;
   acfg.probes_per_step = 0.001;  // direct channel idle for this demo
   acfg.indirect_probes_per_step = 10.0;
   attack::DerandAttacker attacker(sim, fortress.network(), acfg);
@@ -53,8 +52,8 @@ int main() {
   attacker.start();
 
   std::printf("Proxy detection timeline (threshold: %u suspicious events in "
-              "a %.0f-unit window)\n\n", cfg.detection.threshold,
-              cfg.detection.window);
+              "a %.0f-unit window)\n\n", plan.detection_threshold,
+              plan.detection_window);
   std::printf("%8s %16s %18s %14s %12s\n", "time", "attacker probes",
               "crashes observed", "blacklisted by", "honest OKs");
   for (int i = 0; i < 74; ++i) std::putchar('-');

@@ -39,15 +39,17 @@ int main() {
               "primary-backup service\n\n");
 
   sim::Simulator sim;
-  core::LiveConfig config;
-  config.keyspace = 1ull << 16;                          // chi = 2^16
-  config.policy = osl::ObfuscationPolicy::Rerandomize;   // proactive obfuscation
-  config.step_duration = 500.0;                          // unit time-step
+  net::ScenarioPlan plan;
+  plan.keyspace = 1ull << 16;     // chi = 2^16
+  plan.rerandomize = true;        // proactive obfuscation
+  plan.step_duration = 500.0;     // unit time-step
+  plan.proxy_blacklist = true;    // proxies blacklist a source once it has
+  plan.detection_threshold = 5;   // 5 suspicious events in the window
 
   // The replicated service may be non-deterministic: SessionTokenService
   // mints random tokens, which primary-backup replication handles by
   // shipping state (SMR could not re-execute this service).
-  core::LiveS2 fortress(sim, config, [](std::uint32_t index) {
+  core::LiveS2 fortress(sim, plan, /*seed=*/1, [](std::uint32_t index) {
     return std::make_unique<replication::SessionTokenService>(7000 + index);
   });
   fortress.start();
@@ -82,7 +84,7 @@ int main() {
 
   std::printf("\nCrossing a proactive-obfuscation boundary (all nodes "
               "re-randomized):\n");
-  sim.run_until(sim.now() + config.step_duration);
+  sim.run_until(sim.now() + plan.step_duration);
   std::printf("  steps completed: %llu\n",
               static_cast<unsigned long long>(fortress.steps_completed()));
   call(sim, client, "CHECK alice " + token);

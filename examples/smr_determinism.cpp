@@ -44,13 +44,14 @@ class FalselyDeterministicTokenService final
   replication::SessionTokenService inner_;
 };
 
-core::LiveConfig config() {
-  core::LiveConfig cfg;
-  cfg.keyspace = 1 << 12;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
-  cfg.step_duration = 5000.0;
-  cfg.seed = 77;
-  return cfg;
+constexpr std::uint64_t kSeed = 77;
+
+net::ScenarioPlan plan() {
+  net::ScenarioPlan p;
+  p.keyspace = 1 << 12;
+  p.rerandomize = true;
+  p.step_duration = 5000.0;
+  return p;
 }
 
 }  // namespace
@@ -61,7 +62,7 @@ int main() {
   // --- 1. Non-deterministic service on primary-backup: fine. -------------
   {
     sim::Simulator sim;
-    core::LiveS1 pb(sim, config(), [](std::uint32_t index) {
+    core::LiveS1 pb(sim, plan(), kSeed, [](std::uint32_t index) {
       return std::make_unique<replication::SessionTokenService>(100 + index);
     });
     pb.start();
@@ -91,7 +92,7 @@ int main() {
   // --- 3. Faking the determinism claim: divergence, caught by voting. ----
   {
     sim::Simulator sim;
-    core::LiveS0 smr(sim, config(), [](std::uint32_t index) {
+    core::LiveS0 smr(sim, plan(), kSeed, [](std::uint32_t index) {
       // Different per-replica seeds, as different machines would have.
       return std::make_unique<FalselyDeterministicTokenService>(200 + index);
     });
@@ -127,7 +128,7 @@ int main() {
   // --- 4. A genuinely deterministic service on SMR: fine. ----------------
   {
     sim::Simulator sim;
-    core::LiveS0 smr(sim, config(), [](std::uint32_t) {
+    core::LiveS0 smr(sim, plan(), kSeed, [](std::uint32_t) {
       return std::make_unique<replication::KvService>();
     });
     smr.start();

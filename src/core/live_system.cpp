@@ -14,11 +14,11 @@ struct TierSizes {
   int proxies;
 };
 
-// The tier sizes make_live_system deploys for `kind` under `plan`. S0 is an
-// SMR quorum, so its deployment size must be a valid 3f+1. Plans are swept
-// across classes unchanged, so n_servers is treated as a floor: deploy the
-// smallest 3f+1 >= max(4, n_servers) (never fewer machines than requested;
-// 3 -> 4, 5 or 6 -> 7, ...).
+// The tier sizes the Live* constructors deploy for `kind` under `plan`, and
+// what deploys() compares against. S0 is an SMR quorum, so its deployment
+// size must be a valid 3f+1. Plans are swept across classes unchanged, so
+// n_servers is treated as a floor: deploy the smallest 3f+1 >= max(4,
+// n_servers) (never fewer machines than requested; 3 -> 4, 5 or 6 -> 7, ...).
 TierSizes deployed_tiers(model::SystemKind kind,
                          const net::ScenarioPlan& plan) {
   switch (kind) {
@@ -35,43 +35,29 @@ TierSizes deployed_tiers(model::SystemKind kind,
   return {0, 0};
 }
 
-}  // namespace
-
-LiveConfig LiveConfig::from_plan(const net::ScenarioPlan& plan,
-                                 std::uint64_t seed) {
-  // No plan.validate() here: NetworkConfig::from_plan below validates, and
-  // the public campaign entry points validate before fan-out.
-  LiveConfig cfg;
-  cfg.keyspace = plan.keyspace;
-  cfg.policy = plan.rerandomize ? osl::ObfuscationPolicy::Rerandomize
-                                : osl::ObfuscationPolicy::Recover;
-  cfg.step_duration = plan.step_duration;
-  cfg.latency = plan.latency;
-  cfg.network = net::NetworkConfig::from_plan(plan, /*rng_seed=*/0);
-  cfg.seed = seed;
-  cfg.proxy_blacklist = plan.proxy_blacklist;
-  cfg.detection.threshold = plan.detection_threshold;
-  cfg.detection.window = plan.detection_window;
-  cfg.service = plan.service;
-  return cfg;
+// The network's stream is keyed by the trial seed (see begin_trial).
+net::NetworkConfig network_config(const net::ScenarioPlan& plan,
+                                  std::uint64_t seed) {
+  return net::NetworkConfig::from_plan(plan, seed ^ 0xABCDULL);
 }
 
-LiveSystem::LiveSystem(sim::Simulator& sim, LiveConfig config,
-                       model::SystemKind kind)
+}  // namespace
+
+LiveSystem::LiveSystem(sim::Simulator& sim, const net::ScenarioPlan& plan,
+                       std::uint64_t seed, model::SystemKind kind)
     : sim_(sim),
-      config_(std::move(config)),
       kind_(kind),
-      registry_(config_.seed ^ 0xF0F0F0F0ULL),
-      // Placeholder behaviour: begin_trial() installs config_'s.
-      network_(std::make_unique<net::Network>(
-          sim, std::make_unique<net::FixedLatency>(0.0))),
+      registry_(seed ^ 0xF0F0F0F0ULL),
+      // from_plan validates the plan before any machine is wired.
+      network_(std::make_unique<net::Network>(sim,
+                                              network_config(plan, seed))),
       scheduler_(std::make_unique<osl::ObfuscationScheduler>(
           sim, osl::ObfuscationConfig{})) {}
 
-osl::Machine& LiveSystem::add_node(Tier tier, osl::MachineConfig mc,
-                                   std::unique_ptr<osl::Application> app,
-                                   std::function<void()> reset_app,
-                                   std::function<void()> start_app) {
+osl::Machine& LiveSystem::add_node(
+    Tier tier, osl::MachineConfig mc, std::unique_ptr<osl::Application> app,
+    std::function<void(const net::ScenarioPlan&)> reset_app,
+    std::function<void()> start_app) {
   FORTRESS_EXPECTS(tier == Tier::Proxy || tier_size(Tier::Proxy) == 0);
   const std::uint64_t salt = (tier == Tier::Server ? 1 : 0x1000) +
                              static_cast<std::uint64_t>(tier_size(tier));
@@ -82,32 +68,33 @@ osl::Machine& LiveSystem::add_node(Tier tier, osl::MachineConfig mc,
   return *nodes_.back().machine;
 }
 
-void LiveSystem::begin_trial() {
-  net::NetworkConfig net_cfg = config_.network;
-  net_cfg.rng_seed = config_.seed ^ 0xABCDULL;
-  network_->reset(std::make_unique<net::SpecLatency>(config_.latency),
-                  std::move(net_cfg));
+void LiveSystem::begin_trial(const net::ScenarioPlan& plan,
+                             std::uint64_t seed) {
+  // First, so an invalid plan throws before any per-trial state changes.
+  network_->reset(network_config(plan, seed));
+  step_duration_ = plan.step_duration;
   osl::ObfuscationConfig obf_cfg;
-  obf_cfg.step_duration = config_.step_duration;
-  obf_cfg.policy = config_.policy;
-  obf_cfg.keyspace = config_.keyspace;
-  obf_cfg.rng_seed = config_.seed ^ 0x5EEDULL;
+  obf_cfg.step_duration = plan.step_duration;
+  obf_cfg.policy = plan.rerandomize ? osl::ObfuscationPolicy::Rerandomize
+                                    : osl::ObfuscationPolicy::Recover;
+  obf_cfg.keyspace = plan.keyspace;
+  obf_cfg.rng_seed = seed ^ 0x5EEDULL;
   scheduler_->reset(obf_cfg);
   nameserver_->reset();
   failure_time_.reset();
   on_failure = nullptr;
   for (Node& n : nodes_) {
     osl::Machine& m = *n.machine;
-    m.reset(config_.keyspace);
+    m.reset(plan.keyspace);
     m.add_compromise_listener([this](osl::Machine&) {
       if (compromise_rule()) latch_failure();
     });
     // Service-time streams are independent across machines: each is keyed
     // by the trial seed and the node's stable salt.
-    m.configure_service(config_.service,
-                        config_.seed ^ 0x5E41CEULL ^
+    m.configure_service(plan.service,
+                        seed ^ 0x5E41CEULL ^
                             (n.service_salt * 0x9E3779B97F4A7C15ULL));
-    n.reset_app();
+    n.reset_app(plan);
   }
 }
 
@@ -122,8 +109,7 @@ void LiveSystem::reset(const net::ScenarioPlan& plan, std::uint64_t seed) {
   // CONSISTENCY, so no trial observable depends on the master seed.
   // Skipping the re-key avoids recomputing one HMAC key schedule per
   // principal per trial — the dominant reset cost at small horizons.
-  config_ = LiveConfig::from_plan(plan, seed);
-  begin_trial();
+  begin_trial(plan, seed);
 }
 
 bool LiveSystem::deploys(model::SystemKind kind,
@@ -183,7 +169,7 @@ std::vector<const osl::Machine*> LiveSystem::service_machines() const {
 
 std::optional<std::uint64_t> LiveSystem::failure_step() const {
   if (!failure_time_) return std::nullopt;
-  return static_cast<std::uint64_t>(*failure_time_ / config_.step_duration);
+  return static_cast<std::uint64_t>(*failure_time_ / step_duration_);
 }
 
 void LiveSystem::latch_failure() {
@@ -194,19 +180,19 @@ void LiveSystem::latch_failure() {
 
 // --- LiveS1 -----------------------------------------------------------------
 
-LiveS1::LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
-               int n_servers, const std::string& prefix)
-    : LiveSystem(sim, config, model::SystemKind::S1) {
-  FORTRESS_EXPECTS(n_servers >= 1);
+LiveS1::LiveS1(sim::Simulator& sim, const net::ScenarioPlan& plan,
+               std::uint64_t seed, ServiceFactory factory)
+    : LiveSystem(sim, plan, seed, model::SystemKind::S1) {
   FORTRESS_EXPECTS(factory != nullptr);
+  const int n_servers = deployed_tiers(kind_, plan).servers;
   std::vector<net::Address> addrs;
   for (int i = 0; i < n_servers; ++i) {
-    addrs.push_back(prefix + "-server-" + std::to_string(i));
+    addrs.push_back("s1-server-" + std::to_string(i));
   }
   replication::PbConfig pb;
   pb.replicas = addrs;
-  pb.heartbeat_interval = config.heartbeat_interval;
-  pb.failover_timeout = config.failover_timeout;
+  pb.heartbeat_interval = kHeartbeatInterval;
+  pb.failover_timeout = kFailoverTimeout;
 
   std::vector<osl::Machine*> group;
   for (int i = 0; i < n_servers; ++i) {
@@ -216,8 +202,9 @@ LiveS1::LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
         factory(static_cast<std::uint32_t>(i)), pb);
     replication::PbReplica* r = replica.get();
     group.push_back(&add_node(
-        Tier::Server, {addrs[static_cast<std::size_t>(i)], config.keyspace},
-        std::move(replica), [r] { r->reset(); }, [r] { r->start(); }));
+        Tier::Server, {addrs[static_cast<std::size_t>(i)], plan.keyspace},
+        std::move(replica), [r](const net::ScenarioPlan&) { r->reset(); },
+        [r] { r->start(); }));
   }
   // One shared key for the whole PB tier (§3).
   scheduler_->add_shared_group(group);
@@ -227,7 +214,7 @@ LiveS1::LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
   directory_.server_addrs = addrs;
   directory_.server_principals = addrs;  // principals == addresses
   nameserver_ = std::make_unique<NameServer>(*network_, registry_, directory_);
-  begin_trial();
+  begin_trial(plan, seed);
 }
 
 bool LiveS1::compromise_rule() const {
@@ -244,21 +231,22 @@ std::vector<osl::Machine*> LiveS1::direct_attack_surface() {
 
 // --- LiveS0 -----------------------------------------------------------------
 
-LiveS0::LiveS0(sim::Simulator& sim, LiveConfig config,
-               DeterministicServiceFactory factory, std::uint32_t f,
-               const std::string& prefix)
-    : LiveSystem(sim, config, model::SystemKind::S0) {
+LiveS0::LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
+               std::uint64_t seed, DeterministicServiceFactory factory)
+    : LiveSystem(sim, plan, seed, model::SystemKind::S0) {
   FORTRESS_EXPECTS(factory != nullptr);
-  const std::uint32_t n = 3 * f + 1;
+  const auto n =
+      static_cast<std::uint32_t>(deployed_tiers(kind_, plan).servers);
+  const std::uint32_t f = (n - 1) / 3;
   std::vector<net::Address> addrs;
   for (std::uint32_t i = 0; i < n; ++i) {
-    addrs.push_back(prefix + "-replica-" + std::to_string(i));
+    addrs.push_back("s0-replica-" + std::to_string(i));
   }
   replication::SmrConfig smr;
   smr.f = f;
   smr.replicas = addrs;
-  smr.heartbeat_interval = config.heartbeat_interval;
-  smr.progress_timeout = config.failover_timeout;
+  smr.heartbeat_interval = kHeartbeatInterval;
+  smr.progress_timeout = kFailoverTimeout;
 
   std::vector<osl::Machine*> batch;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -266,9 +254,9 @@ LiveS0::LiveS0(sim::Simulator& sim, LiveConfig config,
     auto replica = std::make_unique<replication::SmrReplica>(
         sim_, *network_, registry_, factory(i), smr);
     replication::SmrReplica* r = replica.get();
-    batch.push_back(&add_node(Tier::Server, {addrs[i], config.keyspace},
-                              std::move(replica), [r] { r->reset(); },
-                              [r] { r->start(); }));
+    batch.push_back(&add_node(
+        Tier::Server, {addrs[i], plan.keyspace}, std::move(replica),
+        [r](const net::ScenarioPlan&) { r->reset(); }, [r] { r->start(); }));
   }
   // Distinct keys, staggered reboot batches (Roeder-Schneider).
   scheduler_->add_staggered_batch(batch);
@@ -278,7 +266,7 @@ LiveS0::LiveS0(sim::Simulator& sim, LiveConfig config,
   directory_.server_addrs = addrs;
   directory_.server_principals = addrs;
   nameserver_ = std::make_unique<NameServer>(*network_, registry_, directory_);
-  begin_trial();
+  begin_trial(plan, seed);
 }
 
 bool LiveS0::compromise_rule() const {
@@ -292,26 +280,26 @@ std::vector<osl::Machine*> LiveS0::direct_attack_surface() {
 
 // --- LiveS2 -----------------------------------------------------------------
 
-LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
-               int n_servers, int n_proxies, const std::string& prefix)
-    : LiveSystem(sim, config, model::SystemKind::S2) {
+LiveS2::LiveS2(sim::Simulator& sim, const net::ScenarioPlan& plan,
+               std::uint64_t seed, ServiceFactory factory)
+    : LiveSystem(sim, plan, seed, model::SystemKind::S2) {
   FORTRESS_EXPECTS(factory != nullptr);
-  FORTRESS_EXPECTS(n_servers >= 1 && n_proxies >= 1);
-  for (int i = 0; i < n_servers; ++i) {
-    server_addrs_.push_back(prefix + "-server-" + std::to_string(i));
+  const TierSizes tiers = deployed_tiers(kind_, plan);
+  for (int i = 0; i < tiers.servers; ++i) {
+    server_addrs_.push_back("s2-server-" + std::to_string(i));
   }
   std::vector<net::Address> proxy_addrs;
-  for (int i = 0; i < n_proxies; ++i) {
-    proxy_addrs.push_back(prefix + "-proxy-" + std::to_string(i));
+  for (int i = 0; i < tiers.proxies; ++i) {
+    proxy_addrs.push_back("s2-proxy-" + std::to_string(i));
   }
 
   replication::PbConfig pb;
   pb.replicas = server_addrs_;
-  pb.heartbeat_interval = config.heartbeat_interval;
-  pb.failover_timeout = config.failover_timeout;
+  pb.heartbeat_interval = kHeartbeatInterval;
+  pb.failover_timeout = kFailoverTimeout;
 
   std::vector<osl::Machine*> server_group;
-  for (int i = 0; i < n_servers; ++i) {
+  for (int i = 0; i < tiers.servers; ++i) {
     pb.index = static_cast<std::uint32_t>(i);
     auto replica = std::make_unique<replication::PbReplica>(
         sim_, *network_, registry_, factory(static_cast<std::uint32_t>(i)),
@@ -319,17 +307,18 @@ LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
     replication::PbReplica* r = replica.get();
     server_group.push_back(&add_node(
         Tier::Server,
-        {server_addrs_[static_cast<std::size_t>(i)], config.keyspace},
-        std::move(replica), [r] { r->reset(); }, [r] { r->start(); }));
+        {server_addrs_[static_cast<std::size_t>(i)], plan.keyspace},
+        std::move(replica), [r](const net::ScenarioPlan&) { r->reset(); },
+        [r] { r->start(); }));
   }
   scheduler_->add_shared_group(server_group);
 
-  // The detection knobs are per-trial: the reset hook installs config_'s.
+  // The detection knobs are per-trial: the reset hook installs the plan's.
   proxy::ProxyConfig pxy;
   pxy.servers = server_addrs_;
-  for (int i = 0; i < n_proxies; ++i) {
+  for (int i = 0; i < tiers.proxies; ++i) {
     pxy.address = proxy_addrs[static_cast<std::size_t>(i)];
-    osl::MachineConfig mc{pxy.address, config.keyspace};
+    osl::MachineConfig mc{pxy.address, plan.keyspace};
     mc.processes_request_payloads = false;  // proxies do no processing (§3)
     auto node = std::make_unique<proxy::ProxyNode>(sim_, *network_, registry_,
                                                    pxy);
@@ -337,7 +326,10 @@ LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
     // Individually distinct proxy keys.
     scheduler_->add_machine(add_node(
         Tier::Proxy, mc, std::move(node),
-        [this, p] { p->reset(config_.proxy_blacklist, config_.detection); },
+        [p](const net::ScenarioPlan& trial) {
+          p->reset(trial.proxy_blacklist,
+                   {trial.detection_window, trial.detection_threshold});
+        },
         [p] { p->start(); }));
   }
 
@@ -348,7 +340,7 @@ LiveS2::LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
   directory_.proxies = proxy_addrs;
   directory_.server_principals = server_addrs_;
   nameserver_ = std::make_unique<NameServer>(*network_, registry_, directory_);
-  begin_trial();
+  begin_trial(plan, seed);
 }
 
 bool LiveS2::compromise_rule() const {
@@ -382,24 +374,20 @@ std::unique_ptr<LiveSystem> make_live_system(sim::Simulator& sim,
                                              model::SystemKind kind,
                                              const net::ScenarioPlan& plan,
                                              std::uint64_t seed) {
-  LiveConfig cfg = LiveConfig::from_plan(plan, seed);
   ServiceFactory kv = [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   };
-  const TierSizes tiers = deployed_tiers(kind, plan);
   switch (kind) {
     case model::SystemKind::S0: {
       DeterministicServiceFactory det_kv = [](std::uint32_t) {
         return std::make_unique<replication::KvService>();
       };
-      return std::make_unique<LiveS0>(
-          sim, cfg, det_kv, static_cast<std::uint32_t>(tiers.servers - 1) / 3);
+      return std::make_unique<LiveS0>(sim, plan, seed, det_kv);
     }
     case model::SystemKind::S1:
-      return std::make_unique<LiveS1>(sim, cfg, kv, tiers.servers);
+      return std::make_unique<LiveS1>(sim, plan, seed, kv);
     case model::SystemKind::S2:
-      return std::make_unique<LiveS2>(sim, cfg, kv, tiers.servers,
-                                      tiers.proxies);
+      return std::make_unique<LiveS2>(sim, plan, seed, kv);
   }
   FORTRESS_CHECK(false);
   return nullptr;

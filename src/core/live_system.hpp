@@ -3,7 +3,8 @@
 //
 // Each Live* owns its network, key registry, name-server, randomized
 // machines, replica/proxy applications and obfuscation scheduler, and
-// exposes the class-specific compromise predicate:
+// exposes the class-specific compromise predicate (tier sizes are those of
+// the default plan):
 //   LiveS0: 4-replica SMR, distinct keys, staggered recovery; compromised
 //           when >= 2 replicas are simultaneously controlled.
 //   LiveS1: 3-replica primary-backup, one shared key, direct clients;
@@ -12,12 +13,16 @@
 //           tier (shared key); compromised when any server is controlled or
 //           all proxies are simultaneously controlled.
 //
+// One description of a live world: a net::ScenarioPlan plus a seed is the
+// only input a deployment is built or reset from. The plan's tier sizes
+// shape it (deployed_tiers, shared with deploys()); its network, keyspace,
+// policy, step, detection and service fields configure each trial.
+//
 // One trial-initialization path: a constructor only WIRES the deployment
 // (machines, applications, key-sharing groups, directory) and then calls
-// begin_trial(), the single function that initializes every piece of
-// per-trial state. reset(plan, seed) installs the next trial's config and
-// calls the same begin_trial(), so a pooled deployment and a fresh one
-// differ only in whether the wiring ran.
+// begin_trial(plan, seed), the single function that initializes every piece
+// of per-trial state. reset(plan, seed) calls the same begin_trial(), so a
+// pooled deployment and a fresh one differ only in whether the wiring ran.
 //
 // The compromise predicate is latched: the moment it first holds, failed()
 // becomes true and failure_time() records the simulation time.
@@ -44,29 +49,10 @@
 
 namespace fortress::core {
 
-struct LiveConfig {
-  std::uint64_t keyspace = 1ull << 16;  ///< χ
-  osl::ObfuscationPolicy policy = osl::ObfuscationPolicy::Rerandomize;
-  sim::Time step_duration = 100.0;  ///< the unit time-step
-  /// Network behaviour (fed into net::Network by begin_trial; the
-  /// network's rng_seed is derived from `seed`, overriding network.rng_seed).
-  net::LatencySpec latency = net::LatencySpec::uniform(0.1, 0.5);
-  net::NetworkConfig network;
-  std::uint64_t seed = 1;
-  sim::Time heartbeat_interval = 5.0;
-  sim::Time failover_timeout = 20.0;
-  bool proxy_blacklist = true;
-  proxy::DetectionConfig detection{};
-  /// Per-machine bounded service queue (osl::Machine::configure_service);
-  /// disabled by default — plans without a service model dispatch
-  /// synchronously exactly as before the overload plane existed.
-  net::ServiceModel service{};
-
-  /// Deployment knobs of a scenario plan mapped onto a LiveConfig (network
-  /// behaviour, keyspace, policy, step duration, proxy detection).
-  static LiveConfig from_plan(const net::ScenarioPlan& plan,
-                              std::uint64_t seed);
-};
+/// Replication-protocol timers every deployment runs with (PB heartbeat and
+/// failover; SMR heartbeat and progress timeout).
+inline constexpr sim::Time kHeartbeatInterval = 5.0;
+inline constexpr sim::Time kFailoverTimeout = 20.0;
 
 /// Factory for the replicated service instance each replica runs.
 using ServiceFactory =
@@ -95,15 +81,15 @@ class LiveSystem {
   void start();
 
   /// Begin a NEW trial of (plan, seed) on this already-wired deployment:
-  /// config_ becomes LiveConfig::from_plan(plan, seed) and begin_trial()
-  /// runs — the same per-trial initialization every constructor ends in,
-  /// so a reset deployment and a freshly built one differ only in whether
-  /// the wiring ran. The signature substrate keeps its construction-time
-  /// PKI (no trial observable depends on it; see the note in the
-  /// implementation). Precondition: deploys(kind, plan) for this system's
-  /// class — per-trial knobs (keyspace, step duration, latency, detection,
-  /// partitions, policy, service model) may differ. The caller resets the
-  /// owning Simulator FIRST (pending events reference it).
+  /// begin_trial(plan, seed) runs — the same per-trial initialization every
+  /// constructor ends in, so a reset deployment and a freshly built one
+  /// differ only in whether the wiring ran. The signature substrate keeps
+  /// its construction-time PKI (no trial observable depends on it; see the
+  /// note in the implementation). Precondition: deploys(kind, plan) for
+  /// this system's class — per-trial knobs (keyspace, step duration,
+  /// latency, detection, partitions, policy, service model) may differ.
+  /// The caller resets the owning Simulator FIRST (pending events reference
+  /// it).
   void reset(const net::ScenarioPlan& plan, std::uint64_t seed);
 
   /// True when make_live_system(kind, plan, ·) deploys exactly this system's
@@ -155,10 +141,12 @@ class LiveSystem {
   std::vector<const osl::Machine*> service_machines() const;
 
  protected:
-  LiveSystem(sim::Simulator& sim, LiveConfig config, model::SystemKind kind);
+  /// Validates `plan` (PlanValidationError) before anything is wired.
+  LiveSystem(sim::Simulator& sim, const net::ScenarioPlan& plan,
+             std::uint64_t seed, model::SystemKind kind);
 
   /// One deployed machine and the application it runs. `reset_app` returns
-  /// the application to its just-constructed state under config_'s knobs;
+  /// the application to its just-constructed state under the trial plan;
   /// `start_app` begins its protocol once the machine is booted.
   struct Node {
     Tier tier;
@@ -167,22 +155,22 @@ class LiveSystem {
     /// Keys the machine's service-time stream (see begin_trial): servers
     /// count up from 1, proxies from 0x1000.
     std::uint64_t service_salt;
-    std::function<void()> reset_app;
+    std::function<void(const net::ScenarioPlan&)> reset_app;
     std::function<void()> start_app;
   };
 
   /// Wire one machine at `mc` running `app` onto the end of `tier` (servers
   /// are added before proxies). Returns the new machine.
-  osl::Machine& add_node(Tier tier, osl::MachineConfig mc,
-                         std::unique_ptr<osl::Application> app,
-                         std::function<void()> reset_app,
-                         std::function<void()> start_app);
+  osl::Machine& add_node(
+      Tier tier, osl::MachineConfig mc, std::unique_ptr<osl::Application> app,
+      std::function<void(const net::ScenarioPlan&)> reset_app,
+      std::function<void()> start_app);
 
   /// The per-trial initialization, run at the end of every constructor and
   /// by reset(): network, obfuscation scheduler and name server restart
-  /// under config_; every machine is reset, watched and given its service
-  /// model; every application is reset.
-  void begin_trial();
+  /// under (plan, seed); every machine is reset, watched and given its
+  /// service model; every application is reset.
+  void begin_trial(const net::ScenarioPlan& plan, std::uint64_t seed);
 
   const Node& node(Tier tier, int index) const;
   int tier_size(Tier tier) const;
@@ -195,8 +183,9 @@ class LiveSystem {
   virtual bool compromise_rule() const = 0;
 
   sim::Simulator& sim_;
-  LiveConfig config_;
   const model::SystemKind kind_;
+  /// The current trial's unit time-step (failure_step's divisor).
+  sim::Time step_duration_ = 0.0;
   crypto::KeyRegistry registry_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<osl::ObfuscationScheduler> scheduler_;
@@ -206,11 +195,12 @@ class LiveSystem {
   std::optional<sim::Time> failure_time_;
 };
 
-/// S1: 1-tier primary-backup (Definition 2).
+/// S1: 1-tier primary-backup (Definition 2): plan.n_servers replicas at
+/// "s1-server-<i>".
 class LiveS1 final : public LiveSystem {
  public:
-  LiveS1(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
-         int n_servers = 3, const std::string& prefix = "s1");
+  LiveS1(sim::Simulator& sim, const net::ScenarioPlan& plan,
+         std::uint64_t seed, ServiceFactory factory);
 
   osl::Machine& server_machine(int i) { return *node(Tier::Server, i).machine; }
   replication::PbReplica& server(int i) {
@@ -224,12 +214,14 @@ class LiveS1 final : public LiveSystem {
   bool compromise_rule() const override;
 };
 
-/// S0: 1-tier state-machine replication (Definition 1).
+/// S0: 1-tier state-machine replication (Definition 1). The plan's server
+/// count is a floor: the smallest SMR quorum 3f+1 >= max(4, plan.n_servers)
+/// replicas at "s0-replica-<i>" (the default n_servers = 3 gives the
+/// paper's 4-node shape).
 class LiveS0 final : public LiveSystem {
  public:
-  LiveS0(sim::Simulator& sim, LiveConfig config,
-         DeterministicServiceFactory factory, std::uint32_t f = 1,
-         const std::string& prefix = "s0");
+  LiveS0(sim::Simulator& sim, const net::ScenarioPlan& plan,
+         std::uint64_t seed, DeterministicServiceFactory factory);
 
   osl::Machine& server_machine(int i) { return *node(Tier::Server, i).machine; }
   replication::SmrReplica& server(int i) {
@@ -244,12 +236,12 @@ class LiveS0 final : public LiveSystem {
   bool compromise_rule() const override;
 };
 
-/// S2: the FORTRESS deployment (Definition 3).
+/// S2: the FORTRESS deployment (Definition 3): plan.n_proxies proxies at
+/// "s2-proxy-<i>" fronting plan.n_servers servers at "s2-server-<i>".
 class LiveS2 final : public LiveSystem {
  public:
-  LiveS2(sim::Simulator& sim, LiveConfig config, ServiceFactory factory,
-         int n_servers = 3, int n_proxies = 3,
-         const std::string& prefix = "s2");
+  LiveS2(sim::Simulator& sim, const net::ScenarioPlan& plan,
+         std::uint64_t seed, ServiceFactory factory);
 
   osl::Machine& proxy_machine(int i) { return *node(Tier::Proxy, i).machine; }
   osl::Machine& server_machine(int i) { return *node(Tier::Server, i).machine; }
@@ -280,9 +272,7 @@ class LiveS2 final : public LiveSystem {
 };
 
 /// Build the deployment a ScenarioPlan describes for the given system class
-/// (a KvService instance per replica). S0 treats the plan's server count as
-/// a floor, deploying the smallest SMR quorum 3f+1 >= max(4, n_servers)
-/// (the default n_servers = 3 gives the paper's 4-node shape).
+/// (a KvService instance per replica).
 std::unique_ptr<LiveSystem> make_live_system(sim::Simulator& sim,
                                              model::SystemKind kind,
                                              const net::ScenarioPlan& plan,

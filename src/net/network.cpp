@@ -14,16 +14,15 @@ const char* to_string(CloseReason reason) {
   return "?";
 }
 
-Network::Network(sim::Simulator& sim, std::unique_ptr<LatencyModel> latency,
-                 NetworkConfig config)
-    : sim_(sim) {
-  reset(std::move(latency), std::move(config));
+Network::Network(sim::Simulator& sim, NetworkConfig config) : sim_(sim) {
+  reset(std::move(config));
 }
 
 NetworkConfig NetworkConfig::from_plan(const ScenarioPlan& plan,
                                        std::uint64_t rng_seed) {
   plan.validate();
   NetworkConfig cfg;
+  cfg.latency = plan.latency;
   cfg.drop_probability = plan.drop_probability;
   cfg.duplicate_probability = plan.duplicate_probability;
   cfg.partitions = plan.partitions;
@@ -31,15 +30,8 @@ NetworkConfig NetworkConfig::from_plan(const ScenarioPlan& plan,
   return cfg;
 }
 
-Network::Network(sim::Simulator& sim, const ScenarioPlan& plan,
-                 std::uint64_t rng_seed)
-    : Network(sim, std::make_unique<SpecLatency>(plan.latency),
-              NetworkConfig::from_plan(plan, rng_seed)) {}
-
-void Network::reset(std::unique_ptr<LatencyModel> latency,
-                    NetworkConfig config) {
-  FORTRESS_EXPECTS(latency != nullptr);
-  latency_ = std::move(latency);
+void Network::reset(NetworkConfig config) {
+  config.latency.validate();
   config_ = std::move(config);
   rng_ = Rng(config_.rng_seed);
   // Interner and buffer pool survive (the arena-reuse contract); the host
@@ -159,7 +151,7 @@ void Network::deliver(HostId from, HostId to, Bytes payload,
     recycle_buffer(std::move(payload));
     return;
   }
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(
       delay, [this, from, to, conn, payload = std::move(payload)]() mutable {
         Handler* handler = to < hosts_.size() ? hosts_[to] : nullptr;
@@ -217,7 +209,7 @@ void Network::send_batch(HostId from, HostId to, Bytes frames,
     recycle_buffer(std::move(frames));
     return;
   }
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(
       delay, [this, from, to, count, frames = std::move(frames)]() mutable {
         Handler* handler = to < hosts_.size() ? hosts_[to] : nullptr;
@@ -275,7 +267,7 @@ std::optional<ConnectionId> Network::connect(HostId from, HostId to) {
   c.opened_seq = ++conn_seq_;
   ++open_conns_;
   const ConnectionId id = make_conn_id(slot, c.gen);
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(delay, [this, id, from, to] {
     if (conn_at(id) == nullptr) return;
     Handler* handler = to < hosts_.size() ? hosts_[to] : nullptr;
@@ -342,7 +334,7 @@ void Network::abort(ConnectionId id, HostId crasher) {
 
 void Network::notify_closed(HostId endpoint, ConnectionId id, HostId peer,
                             CloseReason reason) {
-  sim::Time delay = latency_->sample(rng_);
+  sim::Time delay = config_.latency.sample(rng_);
   sim_.schedule_after(delay, [this, endpoint, id, peer, reason] {
     Handler* handler = endpoint < hosts_.size() ? hosts_[endpoint] : nullptr;
     if (handler == nullptr) return;

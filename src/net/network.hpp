@@ -2,7 +2,7 @@
 //
 // Models exactly the network behaviour the paper's attack analysis relies
 // on:
-//  * datagram-style delivery with a pluggable latency model;
+//  * datagram-style delivery with a declarative latency distribution;
 //  * TCP-like connections: when the process behind one endpoint crashes or
 //    closes, the peer receives a Closed notification. This closure signal is
 //    the side channel that de-randomization attacks [Shacham04, Sovarel05]
@@ -27,14 +27,13 @@
 //    directly in a pooled buffer; the datagram-duplication path is the only
 //    place a payload is copied.
 //
-// Behaviour (latency distribution, loss, duplication, partitions) is
-// injected either via the classic (LatencyModel, NetworkConfig) pair or
-// wholesale from a declarative net::ScenarioPlan (see scenario.hpp), which
-// is how the scenario campaign runner builds per-experiment networks.
+// Behaviour (latency distribution, loss, duplication, partitions) comes
+// from one value, NetworkConfig; NetworkConfig::from_plan derives it from a
+// declarative net::ScenarioPlan (see scenario.hpp), which is how every live
+// deployment builds its network.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,52 +105,10 @@ class Handler {
   }
 };
 
-/// Latency model for message delivery.
-class LatencyModel {
- public:
-  virtual ~LatencyModel() = default;
-  virtual sim::Time sample(Rng& rng) = 0;
-};
-
-/// Constant latency.
-class FixedLatency final : public LatencyModel {
- public:
-  explicit FixedLatency(sim::Time latency) : latency_(latency) {
-    FORTRESS_EXPECTS(latency >= 0);
-  }
-  sim::Time sample(Rng&) override { return latency_; }
-
- private:
-  sim::Time latency_;
-};
-
-/// Uniform latency in [lo, hi].
-class UniformLatency final : public LatencyModel {
- public:
-  UniformLatency(sim::Time lo, sim::Time hi) : lo_(lo), hi_(hi) {
-    FORTRESS_EXPECTS(lo >= 0 && hi >= lo);
-  }
-  sim::Time sample(Rng& rng) override {
-    return lo_ + (hi_ - lo_) * rng.uniform01();
-  }
-
- private:
-  sim::Time lo_;
-  sim::Time hi_;
-};
-
-/// Latency driven by a ScenarioPlan's declarative LatencySpec.
-class SpecLatency final : public LatencyModel {
- public:
-  explicit SpecLatency(LatencySpec spec) : spec_(spec) { spec_.validate(); }
-  sim::Time sample(Rng& rng) override { return spec_.sample(rng); }
-
- private:
-  LatencySpec spec_;
-};
-
-/// Network configuration.
+/// Network configuration: the one input a Network is built from.
 struct NetworkConfig {
+  /// Per-delivery latency distribution (validated by the Network).
+  LatencySpec latency = LatencySpec::uniform(0.1, 0.5);
   /// Probability an individual datagram is dropped (connections are
   /// reliable; drops model UDP-style client traffic).
   double drop_probability = 0.0;
@@ -164,13 +121,12 @@ struct NetworkConfig {
   /// still delivered — a reboot's RST is observed once the link heals, and
   /// modelling that as delayed-but-delivered keeps protocol timers and the
   /// attacker's probe loop live across windows.
-  std::vector<PartitionWindow> partitions;
+  std::vector<PartitionWindow> partitions = {};
   std::uint64_t rng_seed = 1;
 
-  /// THE mapping from a plan's network-behaviour fields. Every consumer
-  /// that builds a network from a ScenarioPlan (the Network plan ctor,
-  /// core::LiveConfig::from_plan) goes through here, so a new field added
-  /// to the plan is wired up in exactly one place.
+  /// THE mapping from a plan's network-behaviour fields, and the input
+  /// check of every live world: it runs the full plan.validate() (throwing
+  /// PlanValidationError) before mapping, on every world build and reset.
   static NetworkConfig from_plan(const ScenarioPlan& plan,
                                  std::uint64_t rng_seed);
 };
@@ -178,15 +134,10 @@ struct NetworkConfig {
 /// The simulated network.
 class Network {
  public:
-  Network(sim::Simulator& sim, std::unique_ptr<LatencyModel> latency,
-          NetworkConfig config = {});
+  /// Throws PlanValidationError when config.latency is invalid.
+  explicit Network(sim::Simulator& sim, NetworkConfig config = {});
 
-  /// Build the network a ScenarioPlan describes: its latency distribution,
-  /// drop/duplication probabilities and partition schedule.
-  Network(sim::Simulator& sim, const ScenarioPlan& plan,
-          std::uint64_t rng_seed);
-
-  /// Start over under a new behaviour (latency model + config): all hosts
+  /// Start over under a new behaviour (config): all hosts
   /// detach silently (no closure notifications — the simulation they
   /// belonged to is over), all connections drop, counters and the RNG
   /// stream restart. The constructor delegates here, so this is the one
@@ -194,8 +145,9 @@ class Network {
   /// payload-buffer pool survive — that is the campaign trial-arena reuse
   /// path: a rebuilt deployment re-interns the same addresses to the same
   /// ids. The simulator should be reset by the caller as well, since
-  /// in-flight deliveries are scheduled events.
-  void reset(std::unique_ptr<LatencyModel> latency, NetworkConfig config);
+  /// in-flight deliveries are scheduled events. Throws PlanValidationError
+  /// (before touching any state) when config.latency is invalid.
+  void reset(NetworkConfig config);
 
   // --- the address/id boundary ---------------------------------------------
 
@@ -356,7 +308,6 @@ class Network {
   void sync_partition_bits() const;
 
   sim::Simulator& sim_;
-  std::unique_ptr<LatencyModel> latency_;
   NetworkConfig config_;
   Rng rng_;
   AddressInterner interner_;

@@ -7,9 +7,10 @@
 // obfuscation policy, horizon) the upper layers need to build a LiveSystem.
 //
 // Consumers by layer:
-//  * net::Network reads the network-behaviour fields (latency, drop,
-//    duplication, partitions) — see the Network(sim, plan, seed) ctor;
-//  * core::make_live_system reads the deployment fields;
+//  * net::NetworkConfig::from_plan maps the network-behaviour fields
+//    (latency, drop, duplication, partitions) onto the network's config;
+//  * the core::LiveS0/S1/S2 deployments (built by core::make_live_system,
+//    re-initialized by LiveSystem::reset) read the deployment fields;
 //  * scenario::Campaign reads the fault and attack schedules and fans
 //    (system class x plan x seed) grids over a thread pool.
 //
@@ -274,7 +275,7 @@ struct ScenarioPlan {
   std::vector<FaultEvent> faults;
   AttackSchedule attack;
 
-  // --- deployment knobs (consumed by core::make_live_system) ---
+  // --- deployment knobs (consumed by the core::LiveSystem deployments) ---
   std::uint64_t keyspace = 1ull << 10;  ///< χ
   sim::Time step_duration = 100.0;      ///< the unit time-step
   bool rerandomize = true;  ///< fresh keys per step (PO) vs recovery (SO)
@@ -318,8 +319,9 @@ struct ScenarioPlan {
   /// horizon_steps) — the campaign DROPS such events instead of scheduling
   /// dead work (see FaultEvent) — but it must be finite and >= 0.
   ///
-  /// Called by the plan codec on every load and by run_trial in debug
-  /// builds; campaigns validate every cell plan up front.
+  /// Called by the plan codec on every load and by NetworkConfig::from_plan
+  /// on every live-world build and reset (every build type); campaigns
+  /// also validate every cell plan up front.
   void validate() const;
 };
 

@@ -92,15 +92,10 @@ TrialArena::~TrialArena() = default;
 TrialOutcome TrialArena::run(model::SystemKind system,
                              const net::ScenarioPlan& plan,
                              std::uint64_t seed) {
-#ifndef NDEBUG
-  // Debug builds validate the FULL plan here so a malformed hand-authored
-  // plan fails with a precise PlanValidationError at the trial boundary.
-  // Release builds skip it: make_live_system and LiveSystem::reset validate
-  // the fields they consume (via NetworkConfig::from_plan), and campaigns
-  // already validate every cell before fanning out — per-trial
-  // re-validation would be pure repeated work in the hot path.
-  plan.validate();
-#endif
+  // No plan.validate() here: building or resetting the deployment runs the
+  // full validation (NetworkConfig::from_plan, in every build type) before
+  // the deployment's per-trial state changes, so a malformed plan fails
+  // with a precise PlanValidationError at the trial boundary.
   if (live_ != nullptr && live_->deploys(system, plan)) {
     // Invalidate the previous trial's pending events first: LiveSystem
     // components treat their stored EventIds as stale-after-reset.

@@ -97,7 +97,8 @@ struct TrialOutcome {
 /// system's attack surface, and simulate until compromise or the plan
 /// horizon. A one-shot TrialArena (below). Deterministic in (system, plan,
 /// seed) — and bit-identical for either scheduler kind (the wheel/heap
-/// differential tests pin this).
+/// differential tests pin this). Throws net::PlanValidationError for an
+/// invalid plan: every world build and reset validates it in full.
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,
                        std::uint64_t seed);
 TrialOutcome run_trial(model::SystemKind system, const net::ScenarioPlan& plan,

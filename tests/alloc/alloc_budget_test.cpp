@@ -149,13 +149,13 @@ struct RunResult {
 /// `with_requests` is set. Only the window after the warm-up is counted.
 RunResult run_s1(bool with_requests) {
   sim::Simulator sim;
-  core::LiveConfig cfg;
-  cfg.seed = 12345;
-  cfg.latency = net::LatencySpec::uniform(0.01, 0.02);
+  net::ScenarioPlan plan;
+  plan.keyspace = 1ull << 16;
+  plan.latency = net::LatencySpec::uniform(0.01, 0.02);
   // One obfuscation epoch covers the whole window: the count is about the
   // request path, not about reboots.
-  cfg.step_duration = 10000.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  plan.step_duration = 10000.0;
+  core::LiveS1 system(sim, plan, /*seed=*/12345, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   WireClient client(system.network(), system.directory().server_addrs);

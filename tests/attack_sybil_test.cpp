@@ -23,23 +23,21 @@ struct Outcome {
 
 Outcome run(unsigned sybil_identities, double total_rate) {
   sim::Simulator sim;
-  core::LiveConfig cfg;
-  cfg.keyspace = 1ull << 16;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
-  cfg.step_duration = 100.0;
-  cfg.seed = 17;
-  cfg.proxy_blacklist = true;
-  cfg.detection.threshold = 5;
-  cfg.detection.window = 500.0;
-  core::LiveS2 system(sim, cfg, [](std::uint32_t) {
+  net::ScenarioPlan plan;
+  plan.keyspace = 1ull << 16;
+  plan.step_duration = 100.0;
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = 5;
+  plan.detection_window = 500.0;
+  core::LiveS2 system(sim, plan, /*seed=*/17, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
   sim.run_until(5.0);
 
   AttackerConfig acfg;
-  acfg.keyspace = cfg.keyspace;
-  acfg.step_duration = cfg.step_duration;
+  acfg.keyspace = plan.keyspace;
+  acfg.step_duration = plan.step_duration;
   acfg.probes_per_step = 0.0001;  // direct channels idle
   acfg.indirect_probes_per_step = total_rate;
   acfg.sybil_identities = sybil_identities;

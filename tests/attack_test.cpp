@@ -13,15 +13,19 @@
 namespace fortress::attack {
 namespace {
 
-core::LiveConfig live_config(osl::ObfuscationPolicy policy,
-                             std::uint64_t chi = 64) {
-  core::LiveConfig cfg;
-  cfg.keyspace = chi;  // tiny keyspace so attacks land within test budget
-  cfg.policy = policy;
-  cfg.step_duration = 100.0;
-  cfg.latency = net::LatencySpec::uniform(0.05, 0.1);
-  cfg.seed = 7;
-  return cfg;
+constexpr std::uint64_t kSeed = 7;
+
+/// S2 detection on (blacklisting, threshold 5) unless a test turns it off.
+net::ScenarioPlan live_plan(osl::ObfuscationPolicy policy,
+                            std::uint64_t chi = 64) {
+  net::ScenarioPlan plan;
+  plan.keyspace = chi;  // tiny keyspace so attacks land within test budget
+  plan.rerandomize = policy == osl::ObfuscationPolicy::Rerandomize;
+  plan.step_duration = 100.0;
+  plan.latency = net::LatencySpec::uniform(0.05, 0.1);
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = 5;
+  return plan;
 }
 
 AttackerConfig attacker_config(std::uint64_t chi, double omega,
@@ -43,11 +47,11 @@ TEST(AttackTest, DirectAttackBreaksS1UnderRecovery) {
   // SO: keys never change, so a full sweep of chi=64 candidates at 16
   // probes/step must compromise S1 within ~4-5 steps.
   sim::Simulator sim;
-  auto cfg = live_config(osl::ObfuscationPolicy::Recover);
-  core::LiveS1 system(sim, cfg, kv_factory());
+  auto plan = live_plan(osl::ObfuscationPolicy::Recover);
+  core::LiveS1 system(sim, plan, kSeed, kv_factory());
   system.start();
 
-  const AttackerConfig acfg = attacker_config(cfg.keyspace, 16.0, 0.0);
+  const AttackerConfig acfg = attacker_config(plan.keyspace, 16.0, 0.0);
   DerandAttacker attacker(sim, system.network(), acfg);
   for (int i = 0; i < system.n_servers(); ++i) {
     attacker.add_direct_target(system.server_machine(i));
@@ -65,10 +69,10 @@ TEST(AttackTest, DirectAttackBreaksS1UnderRecovery) {
 
 TEST(AttackTest, AttackerObservesCrashesThroughItsConnection) {
   sim::Simulator sim;
-  auto cfg = live_config(osl::ObfuscationPolicy::Recover);
-  core::LiveS1 system(sim, cfg, kv_factory());
+  auto plan = live_plan(osl::ObfuscationPolicy::Recover);
+  core::LiveS1 system(sim, plan, kSeed, kv_factory());
   system.start();
-  const AttackerConfig acfg = attacker_config(cfg.keyspace, 8.0, 0.0);
+  const AttackerConfig acfg = attacker_config(plan.keyspace, 8.0, 0.0);
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.add_direct_target(system.server_machine(0));
   attacker.reset(acfg, /*indirect_active=*/false);
@@ -82,11 +86,11 @@ TEST(AttackTest, RecoveryDoesNotEvictAttackerKnowledge) {
   // Once the key is learned under SO, each recovery is followed by instant
   // re-compromise using the remembered key.
   sim::Simulator sim;
-  auto cfg = live_config(osl::ObfuscationPolicy::Recover);
-  cfg.step_duration = 50.0;
-  core::LiveS1 system(sim, cfg, kv_factory());
+  auto plan = live_plan(osl::ObfuscationPolicy::Recover);
+  plan.step_duration = 50.0;
+  core::LiveS1 system(sim, plan, kSeed, kv_factory());
   system.start();
-  AttackerConfig acfg = attacker_config(cfg.keyspace, 16.0, 0.0);
+  AttackerConfig acfg = attacker_config(plan.keyspace, 16.0, 0.0);
   acfg.step_duration = 50.0;
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.add_direct_target(system.server_machine(0));
@@ -105,10 +109,10 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
   // a few steps makes essentially no progress, because each boundary
   // invalidates eliminated candidates.
   sim::Simulator sim;
-  auto so_cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
-  core::LiveS1 so_system(sim, so_cfg, kv_factory());
+  auto so_plan = live_plan(osl::ObfuscationPolicy::Recover, 1 << 10);
+  core::LiveS1 so_system(sim, so_plan, kSeed, kv_factory());
   so_system.start();
-  const AttackerConfig so_acfg = attacker_config(so_cfg.keyspace, 64.0, 0.0);
+  const AttackerConfig so_acfg = attacker_config(so_plan.keyspace, 64.0, 0.0);
   DerandAttacker so_attacker(sim, so_system.network(), so_acfg);
   for (int i = 0; i < so_system.n_servers(); ++i) {
     so_attacker.add_direct_target(so_system.server_machine(i));
@@ -119,10 +123,10 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
   EXPECT_TRUE(so_system.failed());  // 1024/64 = 16 steps to sweep
 
   sim::Simulator sim2;
-  auto po_cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 1 << 10);
-  core::LiveS1 po_system(sim2, po_cfg, kv_factory());
+  auto po_plan = live_plan(osl::ObfuscationPolicy::Rerandomize, 1 << 10);
+  core::LiveS1 po_system(sim2, po_plan, kSeed, kv_factory());
   po_system.start();
-  const AttackerConfig po_acfg = attacker_config(po_cfg.keyspace, 8.0, 0.0);
+  const AttackerConfig po_acfg = attacker_config(po_plan.keyspace, 8.0, 0.0);
   DerandAttacker po_attacker(sim2, po_system.network(), po_acfg);
   for (int i = 0; i < po_system.n_servers(); ++i) {
     po_attacker.add_direct_target(po_system.server_machine(i));
@@ -137,13 +141,13 @@ TEST(AttackTest, RerandomizationResetsTheSearch) {
 
 TEST(AttackTest, IndirectProbesCrashServersWithoutAttackerFeedback) {
   sim::Simulator sim;
-  auto cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
-  cfg.proxy_blacklist = false;  // observe raw crash plumbing
-  core::LiveS2 system(sim, cfg, kv_factory());
+  auto plan = live_plan(osl::ObfuscationPolicy::Recover, 1 << 10);
+  plan.proxy_blacklist = false;  // observe raw crash plumbing
+  core::LiveS2 system(sim, plan, kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);
 
-  AttackerConfig acfg = attacker_config(cfg.keyspace, 4.0, 8.0);
+  AttackerConfig acfg = attacker_config(plan.keyspace, 4.0, 8.0);
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.set_indirect_channel(system.directory().proxies);
   attacker.reset(acfg, /*indirect_active=*/true);
@@ -169,15 +173,15 @@ TEST(AttackTest, IndirectProbesCrashServersWithoutAttackerFeedback) {
 
 TEST(AttackTest, BlacklistingShutsDownIndirectChannel) {
   sim::Simulator sim;
-  auto cfg = live_config(osl::ObfuscationPolicy::Recover, 1 << 10);
-  cfg.proxy_blacklist = true;
-  cfg.detection.window = 1000.0;
-  cfg.detection.threshold = 4;
-  core::LiveS2 system(sim, cfg, kv_factory());
+  auto plan = live_plan(osl::ObfuscationPolicy::Recover, 1 << 10);
+  plan.proxy_blacklist = true;
+  plan.detection_window = 1000.0;
+  plan.detection_threshold = 4;
+  core::LiveS2 system(sim, plan, kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);
 
-  const AttackerConfig acfg = attacker_config(cfg.keyspace, 4.0, 16.0);
+  const AttackerConfig acfg = attacker_config(plan.keyspace, 4.0, 16.0);
   DerandAttacker attacker(sim, system.network(), acfg);
   attacker.set_indirect_channel(system.directory().proxies);
   attacker.reset(acfg, /*indirect_active=*/true);
@@ -205,8 +209,8 @@ TEST(AttackTest, BlacklistingShutsDownIndirectChannel) {
 
 TEST(AttackTest, CompromisedProxyBecomesLaunchpad) {
   sim::Simulator sim;
-  auto cfg = live_config(osl::ObfuscationPolicy::Recover, 64);
-  core::LiveS2 system(sim, cfg, kv_factory());
+  auto plan = live_plan(osl::ObfuscationPolicy::Recover, 64);
+  core::LiveS2 system(sim, plan, kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);
 
@@ -237,9 +241,8 @@ TEST(AttackTest, FortressOutlastsUnfortifiedUnderIdenticalAttack) {
   // means over several seeded trials (individual lifetimes are noisy).
   auto run_s1 = [&](std::uint64_t seed) {
     sim::Simulator sim;
-    auto cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 256);
-    cfg.seed = seed;
-    core::LiveS1 system(sim, cfg, kv_factory());
+    auto plan = live_plan(osl::ObfuscationPolicy::Rerandomize, 256);
+    core::LiveS1 system(sim, plan, seed, kv_factory());
     system.start();
     AttackerConfig acfg = attacker_config(256, 32.0, 0.0);
     acfg.seed = seed * 31 + 1;
@@ -254,10 +257,9 @@ TEST(AttackTest, FortressOutlastsUnfortifiedUnderIdenticalAttack) {
   };
   auto run_s2 = [&](std::uint64_t seed) {
     sim::Simulator sim;
-    auto cfg = live_config(osl::ObfuscationPolicy::Rerandomize, 256);
-    cfg.seed = seed;
-    cfg.proxy_blacklist = false;  // isolate the kappa effect
-    core::LiveS2 system(sim, cfg, kv_factory());
+    auto plan = live_plan(osl::ObfuscationPolicy::Rerandomize, 256);
+    plan.proxy_blacklist = false;  // isolate the kappa effect
+    core::LiveS2 system(sim, plan, seed, kv_factory());
     system.start();
     sim.run_until(5.0);
     AttackerConfig acfg = attacker_config(256, 32.0, 8.0);  // kappa = 0.25

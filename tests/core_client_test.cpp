@@ -49,7 +49,7 @@ class Responder : public net::Handler {
 
 class ClientTest : public ::testing::Test {
  protected:
-  ClientTest() : net_(sim_, std::make_unique<net::FixedLatency>(0.5)) {}
+  ClientTest() : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}) {}
 
   Directory fortified_directory() {
     Directory d;

@@ -15,14 +15,17 @@
 namespace fortress::core {
 namespace {
 
-LiveConfig test_config(osl::ObfuscationPolicy policy) {
-  LiveConfig cfg;
-  cfg.keyspace = 1 << 10;
-  cfg.policy = policy;
-  cfg.step_duration = 200.0;
-  cfg.latency = net::LatencySpec::uniform(0.1, 0.3);
-  cfg.seed = 42;
-  return cfg;
+constexpr std::uint64_t kSeed = 42;
+
+/// PO deployments with S2 detection on (blacklisting, threshold 5).
+net::ScenarioPlan test_plan() {
+  net::ScenarioPlan plan;
+  plan.keyspace = 1 << 10;
+  plan.step_duration = 200.0;
+  plan.latency = net::LatencySpec::uniform(0.1, 0.3);
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = 5;
+  return plan;
 }
 
 ServiceFactory kv_factory() {
@@ -54,8 +57,7 @@ std::vector<std::string> collect_responses(sim::Simulator& sim, Client& client,
 
 TEST(LiveS1Test, EndToEndRequests) {
   sim::Simulator sim;
-  LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS1 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
                 ClientConfig{"client"});
@@ -68,16 +70,16 @@ TEST(LiveS1Test, EndToEndRequests) {
 
 TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
   sim::Simulator sim;
-  LiveConfig cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
-  cfg.step_duration = 50.0;  // several reboots during the workload
-  LiveS1 system(sim, cfg, kv_factory());
+  net::ScenarioPlan plan = test_plan();
+  plan.step_duration = 50.0;  // several reboots during the workload
+  LiveS1 system(sim, plan, kSeed, kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
                 ClientConfig{"client"});
   auto before = collect_responses(sim, client, {"PUT a 1", "PUT b 2"}, 120.0);
   EXPECT_EQ(before, (std::vector<std::string>{"OK", "OK"}));
   // Cross several re-randomization boundaries, then read the state back.
-  sim.run_until(sim.now() + 3.5 * cfg.step_duration);
+  sim.run_until(sim.now() + 3.5 * plan.step_duration);
   EXPECT_GE(system.steps_completed(), 3u);
   auto after = collect_responses(sim, client, {"GET a", "GET b"}, 120.0);
   EXPECT_EQ(after, (std::vector<std::string>{"VALUE 1", "VALUE 2"}));
@@ -85,8 +87,7 @@ TEST(LiveS1Test, SurvivesObfuscationBoundaries) {
 
 TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
   sim::Simulator sim;
-  LiveS1 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS1 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
   EXPECT_FALSE(system.failed());
   // Inject a correct probe at one backup.
@@ -105,8 +106,7 @@ TEST(LiveS1Test, CompromisePredicateIsAnyServer) {
 
 TEST(LiveS0Test, EndToEndRequestsWithVoting) {
   sim::Simulator sim;
-  LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                det_kv_factory());
+  LiveS0 system(sim, test_plan(), kSeed, det_kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
                 ClientConfig{"client"});
@@ -116,8 +116,7 @@ TEST(LiveS0Test, EndToEndRequestsWithVoting) {
 
 TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
   sim::Simulator sim;
-  LiveS0 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                det_kv_factory());
+  LiveS0 system(sim, test_plan(), kSeed, det_kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
@@ -139,9 +138,9 @@ TEST(LiveS0Test, CompromiseNeedsTwoReplicas) {
 
 TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
   sim::Simulator sim;
-  LiveConfig cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
-  cfg.step_duration = 100.0;
-  LiveS0 system(sim, cfg, det_kv_factory());
+  net::ScenarioPlan plan = test_plan();
+  plan.step_duration = 100.0;
+  LiveS0 system(sim, plan, kSeed, det_kv_factory());
   system.start();
   Client client(sim, system.network(), system.registry(), system.directory(),
                 ClientConfig{"client"});
@@ -152,7 +151,7 @@ TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
     auto r = collect_responses(
         sim, client, {"PUT k" + std::to_string(i) + " v"}, 150.0);
     replies.push_back(r[0]);
-    sim.run_until(sim.now() + 0.7 * cfg.step_duration);
+    sim.run_until(sim.now() + 0.7 * plan.step_duration);
   }
   for (const auto& r : replies) EXPECT_EQ(r, "OK");
   EXPECT_GE(system.steps_completed(), 3u);
@@ -160,8 +159,7 @@ TEST(LiveS0Test, StaggeredRecoveryKeepsServiceAvailable) {
 
 TEST(LiveS2Test, EndToEndThroughProxies) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS2 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
   sim.run_until(5.0);  // proxies dial the servers
   Client client(sim, system.network(), system.registry(), system.directory(),
@@ -172,8 +170,7 @@ TEST(LiveS2Test, EndToEndThroughProxies) {
 
 TEST(LiveS2Test, DirectoryHidesServerAddresses) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS2 system(sim, test_plan(), kSeed, kv_factory());
   EXPECT_TRUE(system.directory().fortified());
   EXPECT_TRUE(system.directory().server_addrs.empty());
   EXPECT_EQ(system.directory().proxies.size(), 3u);
@@ -182,8 +179,7 @@ TEST(LiveS2Test, DirectoryHidesServerAddresses) {
 
 TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS2 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
@@ -209,8 +205,7 @@ TEST(LiveS2Test, CompromisePredicateServerOrAllProxies) {
 
 TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS2 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
@@ -225,9 +220,9 @@ TEST(LiveS2Test, ServerCompromiseAloneFailsSystem) {
 
 TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
   sim::Simulator sim;
-  LiveConfig cfg = test_config(osl::ObfuscationPolicy::Rerandomize);
-  cfg.step_duration = 50.0;
-  LiveS2 system(sim, cfg, kv_factory());
+  net::ScenarioPlan plan = test_plan();
+  plan.step_duration = 50.0;
+  LiveS2 system(sim, plan, kSeed, kv_factory());
   system.start();
   class Probe : public net::Handler {
    public:
@@ -245,8 +240,7 @@ TEST(LiveS2Test, ProxyCompromiseCleansedByRerandomization) {
 
 TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS2 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
   EXPECT_EQ(system.server_machine(0).key(), system.server_machine(1).key());
   EXPECT_EQ(system.server_machine(1).key(), system.server_machine(2).key());
@@ -258,8 +252,7 @@ TEST(LiveS2Test, SharedServerKeyDistinctProxyKeys) {
 
 TEST(NameServerTest, ServesSignedDirectory) {
   sim::Simulator sim;
-  LiveS2 system(sim, test_config(osl::ObfuscationPolicy::Rerandomize),
-                kv_factory());
+  LiveS2 system(sim, test_plan(), kSeed, kv_factory());
   system.start();
 
   class Lookup : public net::Handler {

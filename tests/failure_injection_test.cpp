@@ -26,10 +26,10 @@ class LossyPbTest : public ::testing::TestWithParam<double> {
  protected:
   LossyPbTest() {
     net::NetworkConfig ncfg;
+    ncfg.latency = net::LatencySpec::fixed(0.5);
     ncfg.drop_probability = GetParam();
     ncfg.rng_seed = 77;
-    net_ = std::make_unique<net::Network>(
-        sim_, std::make_unique<net::FixedLatency>(0.5), ncfg);
+    net_ = std::make_unique<net::Network>(sim_, ncfg);
     for (int i = 0; i < 3; ++i) {
       addrs_.push_back("server-" + std::to_string(i));
     }
@@ -97,18 +97,21 @@ INSTANTIATE_TEST_SUITE_P(DropRates, LossyPbTest,
 
 // --- reboot races on the FORTRESS deployment -------------------------------
 
-core::LiveConfig fast_reboot_config() {
-  core::LiveConfig cfg;
-  cfg.keyspace = 1 << 10;
-  cfg.policy = osl::ObfuscationPolicy::Rerandomize;
-  cfg.step_duration = 30.0;  // reboots come thick and fast
-  cfg.seed = 5;
-  return cfg;
+constexpr std::uint64_t kSeed = 5;
+
+/// PO deployments with S2 detection on (blacklisting, threshold 5).
+net::ScenarioPlan fast_reboot_plan() {
+  net::ScenarioPlan plan;
+  plan.keyspace = 1 << 10;
+  plan.step_duration = 30.0;  // reboots come thick and fast
+  plan.proxy_blacklist = true;
+  plan.detection_threshold = 5;
+  return plan;
 }
 
 TEST(RebootRaceTest, S2ServesThroughAggressiveRerandomization) {
   sim::Simulator sim;
-  core::LiveS2 system(sim, fast_reboot_config(), [](std::uint32_t) {
+  core::LiveS2 system(sim, fast_reboot_plan(), kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -138,9 +141,9 @@ TEST(RebootRaceTest, S2ServesThroughAggressiveRerandomization) {
 
 TEST(RebootRaceTest, ProxyRebootMidRequestIsAbsorbedByOtherProxies) {
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
-  cfg.step_duration = 10000.0;  // manual reboots only
-  core::LiveS2 system(sim, cfg, [](std::uint32_t) {
+  net::ScenarioPlan plan = fast_reboot_plan();
+  plan.step_duration = 10000.0;  // manual reboots only
+  core::LiveS2 system(sim, plan, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -159,9 +162,9 @@ TEST(RebootRaceTest, ProxyRebootMidRequestIsAbsorbedByOtherProxies) {
 
 TEST(RebootRaceTest, AllServersRebootTogetherStateSurvives) {
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
-  cfg.step_duration = 10000.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  net::ScenarioPlan plan = fast_reboot_plan();
+  plan.step_duration = 10000.0;
+  core::LiveS1 system(sim, plan, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -191,9 +194,9 @@ TEST(RebootRaceTest, AllServersRebootTogetherStateSurvives) {
 
 TEST(CascadeTest, PbPrimaryAloneStillServes) {
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
-  cfg.step_duration = 10000.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  net::ScenarioPlan plan = fast_reboot_plan();
+  plan.step_duration = 10000.0;
+  core::LiveS1 system(sim, plan, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();
@@ -213,10 +216,9 @@ TEST(CascadeTest, PbPrimaryAloneStillServes) {
 TEST(CascadeTest, PbChainOfFailovers) {
   // Primary dies; successor takes over; successor dies; last replica leads.
   sim::Simulator sim;
-  core::LiveConfig cfg = fast_reboot_config();
-  cfg.step_duration = 100000.0;
-  cfg.failover_timeout = 20.0;
-  core::LiveS1 system(sim, cfg, [](std::uint32_t) {
+  net::ScenarioPlan plan = fast_reboot_plan();
+  plan.step_duration = 100000.0;
+  core::LiveS1 system(sim, plan, kSeed, [](std::uint32_t) {
     return std::make_unique<replication::KvService>();
   });
   system.start();

@@ -45,7 +45,7 @@ TEST(AddressInternerTest, NameReferencesStayStableAcrossGrowth) {
 
 TEST(NetworkInternerTest, AttachOrderAssignsDenseIds) {
   sim::Simulator sim;
-  Network net(sim, std::make_unique<FixedLatency>(1.0));
+  Network net(sim, {.latency = LatencySpec::fixed(1.0)});
   NullHandler a, b, c;
   EXPECT_EQ(net.attach("a", a), 0u);
   EXPECT_EQ(net.attach("b", b), 1u);
@@ -60,11 +60,11 @@ TEST(NetworkInternerTest, IdsStableAcrossReset) {
   // rebuilt in a DIFFERENT order still resolves existing names to their
   // original ids.
   sim::Simulator sim;
-  Network net(sim, std::make_unique<FixedLatency>(1.0));
+  Network net(sim, {.latency = LatencySpec::fixed(1.0)});
   NullHandler a, b;
   const HostId ida = net.attach("a", a);
   const HostId idb = net.attach("b", b);
-  net.reset(std::make_unique<FixedLatency>(1.0), NetworkConfig{});
+  net.reset({.latency = LatencySpec::fixed(1.0)});
   EXPECT_FALSE(net.attached(ida));
   EXPECT_EQ(net.id_of("a"), ida);
   EXPECT_EQ(net.id_of("b"), idb);
@@ -75,7 +75,7 @@ TEST(NetworkInternerTest, IdsStableAcrossReset) {
 
 TEST(NetworkInternerTest, DetachFreesTheSlotForReattach) {
   sim::Simulator sim;
-  Network net(sim, std::make_unique<FixedLatency>(1.0));
+  Network net(sim, {.latency = LatencySpec::fixed(1.0)});
   NullHandler a, a2;
   const HostId id = net.attach("a", a);
   net.detach(id);
@@ -90,7 +90,7 @@ TEST(NetworkInternerTest, DetachFreesTheSlotForReattach) {
 
 TEST(NetworkConnSlotTest, SlotsAreReusedAfterTeardown) {
   sim::Simulator sim;
-  Network net(sim, std::make_unique<FixedLatency>(1.0));
+  Network net(sim, {.latency = LatencySpec::fixed(1.0)});
   NullHandler a, b;
   const HostId ha = net.attach("a", a);
   const HostId hb = net.attach("b", b);
@@ -126,7 +126,7 @@ TEST(NetworkConnSlotTest, InFlightMessageDiesWithSlotReuse) {
   // A message in flight on a torn-down connection must NOT be delivered on
   // the connection that reused its slot.
   sim::Simulator sim;
-  Network net(sim, std::make_unique<FixedLatency>(1.0));
+  Network net(sim, {.latency = LatencySpec::fixed(1.0)});
   NullHandler a, b;
   const HostId ha = net.attach("a", a);
   const HostId hb = net.attach("b", b);
@@ -142,7 +142,7 @@ TEST(NetworkConnSlotTest, InFlightMessageDiesWithSlotReuse) {
 
 TEST(NetworkPoolTest, PayloadBuffersAreRecycled) {
   sim::Simulator sim;
-  Network net(sim, std::make_unique<FixedLatency>(0.0));
+  Network net(sim, {.latency = LatencySpec::fixed(0.0)});
   NullHandler a, b;
   const HostId ha = net.attach("a", a);
   const HostId hb = net.attach("b", b);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
@@ -57,7 +56,7 @@ class NetworkTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  Network net_{sim_, std::make_unique<FixedLatency>(1.0)};
+  Network net_{sim_, NetworkConfig{.latency = LatencySpec::fixed(1.0)}};
   RecordingHandler a_{net_}, b_{net_};
 };
 
@@ -200,7 +199,8 @@ TEST(NetworkDropTest, DropProbabilityOneDropsEverything) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.drop_probability = 1.0;
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -213,7 +213,8 @@ TEST(NetworkDropTest, ConnectionsAreReliableDespiteDrops) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.drop_probability = 1.0;  // drops apply to datagrams only
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -298,7 +299,8 @@ TEST(NetworkBatchDropTest, DropCoinsApplyPerFrame) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.drop_probability = 1.0;
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   const HostId ida = net.attach("a", a);
   const HostId idb = net.attach("b", b);
@@ -312,7 +314,8 @@ TEST(NetworkDupTest, DuplicateProbabilityOneDeliversDatagramTwice) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.duplicate_probability = 1.0;
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -327,7 +330,8 @@ TEST(NetworkDupTest, ConnectionsNeverDuplicate) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.duplicate_probability = 1.0;  // duplication applies to datagrams only
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -343,7 +347,8 @@ TEST(NetworkPartitionTest, ActiveWindowBlocksBothDirections) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{0.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net}, c{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -361,7 +366,8 @@ TEST(NetworkPartitionTest, TrafficFlowsAfterWindowEnds) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{0.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -380,7 +386,8 @@ TEST(NetworkPartitionTest, ConnectionMessageSentDuringWindowIsLost) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{5.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -403,7 +410,8 @@ TEST(NetworkPartitionTest, ConnectRefusedAcrossActivePartition) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions.push_back(PartitionWindow{0.0, 10.0, {"a"}});
-  Network net(sim, std::make_unique<FixedLatency>(1.0), cfg);
+  cfg.latency = LatencySpec::fixed(1.0);
+  Network net(sim, cfg);
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -417,7 +425,7 @@ TEST(NetworkScenarioTest, PlanConstructedNetworkHonorsLatencySpec) {
   sim::Simulator sim;
   ScenarioPlan plan;
   plan.latency = LatencySpec::uniform(2.0, 4.0);
-  Network net(sim, plan, /*rng_seed=*/5);
+  Network net(sim, NetworkConfig::from_plan(plan, /*rng_seed=*/5));
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -430,7 +438,7 @@ TEST(NetworkScenarioTest, PlanConstructedNetworkHonorsLatencySpec) {
 
 TEST(NetworkLatencyTest, UniformLatencyWithinBounds) {
   sim::Simulator sim;
-  Network net(sim, std::make_unique<UniformLatency>(2.0, 4.0));
+  Network net(sim, {.latency = LatencySpec::uniform(2.0, 4.0)});
   RecordingHandler a{net}, b{net};
   net.attach("a", a);
   net.attach("b", b);
@@ -439,6 +447,26 @@ TEST(NetworkLatencyTest, UniformLatencyWithinBounds) {
   EXPECT_TRUE(b.messages.empty());
   sim.run_until(4.01);
   EXPECT_EQ(b.messages.size(), 20u);
+}
+
+TEST(NetworkLatencyTest, ConstructionAndResetRejectInvalidLatencySpec) {
+  sim::Simulator sim;
+  for (const LatencySpec& bad :
+       {LatencySpec::uniform(4.0, 2.0), LatencySpec::exponential(0.1, 0.0)}) {
+    EXPECT_THROW(Network(sim, {.latency = bad}), PlanValidationError);
+    Network net(sim, {.latency = LatencySpec::fixed(1.0)});
+    RecordingHandler a{net}, b{net};
+    net.attach("a", a);
+    net.attach("b", b);
+    EXPECT_THROW(net.reset({.latency = bad}), PlanValidationError);
+    // The rejected reset left the network as it was.
+    EXPECT_TRUE(net.attached("a"));
+    const sim::Time sent = sim.now();
+    net.send("a", "b", Bytes{1});
+    sim.run();
+    ASSERT_EQ(b.messages.size(), 1u);
+    EXPECT_DOUBLE_EQ(sim.now() - sent, 1.0);
+  }
 }
 
 }  // namespace

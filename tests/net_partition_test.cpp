@@ -55,7 +55,8 @@ TEST(NetPartitionTest, BitsetDecisionsMatchStringReference) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions = many_windows();
-  Network net(sim, std::make_unique<FixedLatency>(0.0), cfg);
+  cfg.latency = LatencySpec::fixed(0.0);
+  Network net(sim, cfg);
 
   NullHandler handler;
   std::vector<HostId> ids;
@@ -101,7 +102,8 @@ TEST(NetPartitionTest, ResetRebuildsBitsetsForNewWindows) {
   sim::Simulator sim;
   NetworkConfig cfg;
   cfg.partitions = {{0.0, 100.0, {"a"}}};
-  Network net(sim, std::make_unique<FixedLatency>(0.0), cfg);
+  cfg.latency = LatencySpec::fixed(0.0);
+  Network net(sim, cfg);
   NullHandler handler;
   const HostId a = net.attach("a", handler);
   const HostId b = net.attach("b", handler);
@@ -113,7 +115,8 @@ TEST(NetPartitionTest, ResetRebuildsBitsetsForNewWindows) {
   // blocking (a, b).
   NetworkConfig next;
   next.partitions = {{0.0, 100.0, {"b"}}};
-  net.reset(std::make_unique<FixedLatency>(0.0), next);
+  next.latency = LatencySpec::fixed(0.0);
+  net.reset(next);
   net.attach(a, handler);
   net.attach(b, handler);
   net.attach(c, handler);
@@ -122,7 +125,7 @@ TEST(NetPartitionTest, ResetRebuildsBitsetsForNewWindows) {
   EXPECT_FALSE(net.partitioned(a, c));
 
   // And dropping the windows entirely unblocks everything.
-  net.reset(std::make_unique<FixedLatency>(0.0), NetworkConfig{});
+  net.reset({.latency = LatencySpec::fixed(0.0)});
   net.attach(a, handler);
   net.attach(b, handler);
   EXPECT_FALSE(net.partitioned(a, b));

@@ -105,7 +105,7 @@ class NullHandler : public net::Handler {
 class MachineOverloadTest : public ::testing::Test {
  protected:
   MachineOverloadTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(1.0)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(1.0)}),
         machine_(net_, MachineConfig{"target", 16}),
         app_(sim_) {
     machine_.set_application(&app_);

@@ -46,7 +46,7 @@ class AttackerHandler : public net::Handler {
 class MachineTest : public ::testing::Test {
  protected:
   MachineTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(1.0)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(1.0)}),
         machine_(net_, MachineConfig{"target", 16}) {
     machine_.set_application(&app_);
     net_.attach("attacker", attacker_);

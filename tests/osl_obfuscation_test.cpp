@@ -16,7 +16,7 @@ class ObfuscationTest : public ::testing::Test {
   static constexpr std::uint64_t kChi = 1 << 10;
 
   ObfuscationTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.1)) {
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.1)}) {
     for (int i = 0; i < 3; ++i) {
       proxies_.push_back(std::make_unique<Machine>(
           net_, MachineConfig{"proxy-" + std::to_string(i), kChi}));

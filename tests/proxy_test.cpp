@@ -53,7 +53,7 @@ class ClientEndpoint : public net::Handler {
 // Full slice: one proxy in front of a 3-replica PB tier.
 class ProxyTest : public ::testing::Test {
  protected:
-  ProxyTest() : net_(sim_, std::make_unique<net::FixedLatency>(0.5)) {
+  ProxyTest() : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}) {
     for (int i = 0; i < 3; ++i) {
       server_addrs_.push_back("server-" + std::to_string(i));
     }

@@ -60,7 +60,7 @@ class PbTest : public ::testing::Test {
   static constexpr int kN = 3;
 
   PbTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.5)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         client_(net_, "client") {
     for (int i = 0; i < kN; ++i) {
       addrs_.push_back("server-" + std::to_string(i));

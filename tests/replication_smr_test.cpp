@@ -60,7 +60,7 @@ class SmrTest : public ::testing::Test {
   static constexpr std::uint32_t kN = 3 * kF + 1;
 
   SmrTest()
-      : net_(sim_, std::make_unique<net::FixedLatency>(0.5)),
+      : net_(sim_, {.latency = net::LatencySpec::fixed(0.5)}),
         client_(net_, "client") {
     for (std::uint32_t i = 0; i < kN; ++i) {
       addrs_.push_back("replica-" + std::to_string(i));

@@ -427,6 +427,22 @@ TEST(TrialArenaTest, ArenaTrialsMatchFreshTrials) {
   }
 }
 
+TEST(TrialArenaTest, InvalidPlanRejectedOnBuildAndReset) {
+  // Plan validation is the live world's input check in every build type:
+  // a fresh build and a pooled reset (same shape, so no rebuild) both
+  // reject the plan, and the arena's next valid trial still matches a
+  // fresh one.
+  const net::ScenarioPlan good = fast_plan(64, 8.0, 0.5, 10);
+  net::ScenarioPlan bad = good;
+  bad.drop_probability = 2.0;
+  const model::SystemKind s2 = model::SystemKind::S2;
+  EXPECT_THROW(run_trial(s2, bad, 1), net::PlanValidationError);
+  TrialArena arena;
+  arena.run(s2, good, 1);
+  EXPECT_THROW(arena.run(s2, bad, 2), net::PlanValidationError);
+  expect_outcomes_equal(arena.run(s2, good, 3), run_trial(s2, good, 3));
+}
+
 TEST(CampaignTest, PooledAndFreshStacksBitIdentical) {
   std::vector<net::ScenarioPlan> plans = {fast_plan(64, 8.0, 0.5, 40),
                                           fast_plan(128, 8.0, 0.25, 40)};
