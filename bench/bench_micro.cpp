@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -233,6 +234,31 @@ bool write_crypto_records(const std::string& path) {
       benchmark::DoNotOptimize(d);
     });
     rec.add("micro.hmac_sign", ns, 1e9 / ns, extras);
+  }
+  {
+    // One 96-byte message MACed over and over: after the first call every
+    // mac() is a per-thread memo hit (hmac.hpp).
+    crypto::HmacKey schedule(bytes_of("principal-secret"));
+    Bytes data(96, 0x5c);
+    double ns = time_ns(30000, [&] {
+      crypto::Digest d = schedule.mac(data);
+      benchmark::DoNotOptimize(d);
+    });
+    rec.add("micro.hmac_memo_hit", ns, 1e9 / ns, extras);
+  }
+  {
+    // 96-byte messages that are all distinct (a counter in the first eight
+    // bytes): every mac() misses the memo and computes the MAC.
+    crypto::HmacKey schedule(bytes_of("principal-secret"));
+    Bytes data(96, 0x5c);
+    std::uint64_t counter = 0;
+    double ns = time_ns(30000, [&] {
+      ++counter;
+      std::memcpy(data.data(), &counter, sizeof(counter));
+      crypto::Digest d = schedule.mac(data);
+      benchmark::DoNotOptimize(d);
+    });
+    rec.add("micro.hmac_miss", ns, 1e9 / ns, extras);
   }
   {
     // Eight (schedule, message, tag) triples verified through one full lane

@@ -3,34 +3,9 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "crypto/sha256_kernel.hpp"
+#include "crypto/signature.hpp"
 
 namespace fortress::crypto {
-
-namespace {
-
-constexpr std::size_t kBlock = Sha256::kBlockSize;
-
-// Append SHA-256 padding for a stream whose total absorbed length will be
-// `total_len` bytes (including the 64-byte pad block the midstate already
-// covers). `buf` holds the message tail; on return its size is a multiple
-// of the block size.
-void pad_stream(Bytes& buf, std::uint64_t total_len) {
-  buf.push_back(0x80);
-  while (buf.size() % kBlock != kBlock - 8) buf.push_back(0);
-  append_u64_be(buf, total_len * 8);
-}
-
-void store_be32x8(const std::uint32_t words[8], std::uint8_t out[32]) {
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(words[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(words[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(words[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(words[i]);
-  }
-}
-
-}  // namespace
 
 std::size_t BatchVerifier::enqueue(const HmacKey* schedule, BytesView message,
                                    BytesView tag) {
@@ -53,75 +28,15 @@ std::size_t BatchVerifier::enqueue(const HmacKey* schedule, BytesView message,
 }
 
 void BatchVerifier::flush() {
-  Job* group[kLanes];
-  std::size_t count = 0;
   for (std::size_t i = computed_; i < jobs_.size(); ++i) {
     Job& job = jobs_[i];
-    if (job.schedule == nullptr || !job.tag_ok) {
-      job.verdict = false;
-      continue;
-    }
-    group[count++] = &job;
-    if (count == kLanes) {
-      flush_group(group, count);
-      count = 0;
-    }
+    job.verdict =
+        job.schedule != nullptr && job.tag_ok &&
+        KeyRegistry::verify_tag_with(
+            *job.schedule, BytesView(arena_.data() + job.msg_offset, job.msg_len),
+            BytesView(job.tag.data(), job.tag.size()));
   }
-  if (count > 0) flush_group(group, count);
   computed_ = jobs_.size();
-}
-
-void BatchVerifier::flush_group(Job** group, std::size_t count) {
-  FORTRESS_EXPECTS(count >= 1 && count <= kLanes);
-
-  std::uint32_t states[kLanes][8];
-  const std::uint8_t* data[kLanes];
-  std::size_t nblocks[kLanes];
-
-  // Pass 1 — inner hashes: resume each key's ipad midstate over its
-  // padded message (total stream length = 64-byte pad block + message).
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    if (l >= count) {
-      data[l] = nullptr;
-      nblocks[l] = 0;
-      continue;
-    }
-    const Job& job = *group[l];
-    const Sha256& mid = job.schedule->inner_midstate();
-    std::memcpy(states[l], mid.midstate().data(), sizeof(states[l]));
-    Bytes& buf = lane_buf_[l];
-    buf.clear();
-    buf.insert(buf.end(), arena_.begin() + job.msg_offset,
-               arena_.begin() + job.msg_offset + job.msg_len);
-    pad_stream(buf, mid.absorbed_len() + job.msg_len);
-    data[l] = buf.data();
-    nblocks[l] = buf.size() / kBlock;
-  }
-  kernel::compress_blocks_x8(states, data, nblocks);
-
-  // Pass 2 — outer hashes: opad midstate over the 32-byte inner digest.
-  // Uniform single padded block per lane.
-  for (std::size_t l = 0; l < count; ++l) {
-    const Job& job = *group[l];
-    Bytes& buf = lane_buf_[l];
-    buf.resize(Digest{}.size());
-    store_be32x8(states[l], buf.data());
-    const Sha256& mid = job.schedule->outer_midstate();
-    pad_stream(buf, mid.absorbed_len() + Digest{}.size());
-    std::memcpy(states[l], mid.midstate().data(), sizeof(states[l]));
-    data[l] = buf.data();
-    nblocks[l] = 1;
-  }
-  kernel::compress_blocks_x8(states, data, nblocks);
-
-  for (std::size_t l = 0; l < count; ++l) {
-    Job& job = *group[l];
-    Digest expected;
-    store_be32x8(states[l], expected.data());
-    job.verdict = equal_constant_time(
-        BytesView(expected.data(), expected.size()),
-        BytesView(job.tag.data(), job.tag.size()));
-  }
 }
 
 bool BatchVerifier::verdict(std::size_t id) {

@@ -1,18 +1,16 @@
-// batch.hpp — lane-batched HMAC-SHA256 verification.
+// batch.hpp — staged HMAC-SHA256 verification.
 //
-// BatchVerifier collects (schedule, message, tag) verification jobs and
-// computes them through the multi-buffer SHA-256 kernel up to kLanes at a
-// time: one transposed compress run covers eight inner hashes, a second
-// covers the eight outer hashes. Handlers enqueue as messages arrive and
-// read verdicts at their natural boundary (the machine service queue
-// flushes every kLanes staged messages and at dispatch).
-//
-// ACCEPTANCE SEMANTICS ARE UNCHANGED: a job's verdict equals exactly
-// `KeyRegistry::verify_tag_with(*schedule, message, tag)` — same digests
-// (all kernel tiers are bit-identical), same constant-time comparison,
-// same rejection of absent schedules and wrong-sized tags. Batching only
-// changes WHEN the HMACs are computed, never what is accepted; the
-// differential fuzz in crypto_batch_test asserts this over ≥50k messages.
+// BatchVerifier collects (schedule, message, tag) verification jobs so
+// handlers can stage a check when a message arrives and read its verdict at
+// their natural boundary (the machine service queue flushes every kLanes
+// staged messages and at dispatch). flush() computes each pending verdict
+// as `KeyRegistry::verify_tag_with(*schedule, message, tag)` — the one
+// verify path, which consults the per-thread HMAC memo first (see
+// hmac.hpp). So a job's verdict equals the one-shot verdict exactly: same
+// digests, same constant-time comparison, same rejection of absent
+// schedules and wrong-sized tags. Staging only changes WHEN a MAC is
+// computed, never what is accepted; crypto_batch_test asserts this over
+// ≥50k messages.
 //
 // Not thread-safe; each owner (machine, client) keeps its own instance.
 #pragma once
@@ -28,7 +26,7 @@ namespace fortress::crypto {
 
 class BatchVerifier {
  public:
-  /// Width of one multi-buffer flush group (the AVX2 kernel's lane count).
+  /// Staged jobs after which the machine service queue flushes.
   static constexpr std::size_t kLanes = 8;
 
   /// Queue a verification job; returns its id (stable until clear()).
@@ -42,8 +40,7 @@ class BatchVerifier {
   /// Jobs enqueued but not yet computed.
   std::size_t pending() const { return jobs_.size() - computed_; }
 
-  /// Compute every pending job (kLanes-wide groups through the active
-  /// kernel tier).
+  /// Compute every pending job.
   void flush();
 
   /// The verdict for job `id`. Flushes first if the job is still pending.
@@ -57,7 +54,7 @@ class BatchVerifier {
 
  private:
   struct Job {
-    const HmacKey* schedule;  // null => verdict false, lane skipped
+    const HmacKey* schedule;  // null => verdict false
     std::size_t msg_offset;
     std::size_t msg_len;
     Digest tag;
@@ -65,13 +62,9 @@ class BatchVerifier {
     bool verdict = false;
   };
 
-  void flush_group(Job** group, std::size_t count);
-
   std::vector<Job> jobs_;
   Bytes arena_;            // concatenated message copies
   std::size_t computed_ = 0;
-  // Scratch padded-message buffers, one per lane, reused across flushes.
-  Bytes lane_buf_[kLanes];
 };
 
 }  // namespace fortress::crypto

@@ -3,13 +3,13 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "crypto/sha256_constants.hpp"
 #include "crypto/sha256_kernel.hpp"
 
 namespace fortress::crypto {
 
 void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  state_ = kernel::kSha256Init;
   buffer_len_ = 0;
   total_len_ = 0;
   finished_ = false;
@@ -67,13 +67,6 @@ Digest Sha256::finish() {
   }
   return out;
 }
-
-const std::array<std::uint32_t, 8>& Sha256::midstate() const {
-  FORTRESS_EXPECTS(!finished_ && buffer_len_ == 0);
-  return state_;
-}
-
-std::uint64_t Sha256::absorbed_len() const { return total_len_; }
 
 Digest Sha256::hash(BytesView data) {
   Sha256 h;

@@ -44,16 +44,6 @@ class Sha256 {
   /// One-shot convenience.
   static Digest hash(BytesView data);
 
-  /// The eight working-variable words after the blocks absorbed so far.
-  /// Precondition: the absorbed length is block-aligned (no buffered tail)
-  /// and the context is not finished. Used by BatchVerifier to fork HMAC
-  /// pad midstates into multi-buffer lanes.
-  const std::array<std::uint32_t, 8>& midstate() const;
-
-  /// Total bytes absorbed so far (for length-field computation when a
-  /// midstate is resumed outside this class).
-  std::uint64_t absorbed_len() const;
-
  private:
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;

@@ -95,6 +95,8 @@ ShaTier& active_tier_slot() {
   return tier;
 }
 
+thread_local std::uint64_t t_blocks_compressed = 0;
+
 }  // namespace
 
 const char* tier_name(ShaTier tier) {
@@ -127,6 +129,8 @@ bool tier_available(ShaTier tier) {
 }
 
 ShaTier active_tier() { return active_tier_slot(); }
+
+std::uint64_t blocks_compressed() { return t_blocks_compressed; }
 
 bool force_tier(ShaTier tier) {
   if (!tier_available(tier)) return false;
@@ -194,6 +198,7 @@ void compress_blocks_scalar(std::uint32_t state[8], const std::uint8_t* data,
 void compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
                      std::size_t nblocks) {
   if (nblocks == 0) return;
+  t_blocks_compressed += nblocks;
   switch (active_tier_slot()) {
 #if defined(__x86_64__) || defined(__i386__)
     case ShaTier::ShaNi:
@@ -210,6 +215,7 @@ void compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
 void compress_blocks_x8(std::uint32_t states[][8],
                         const std::uint8_t* const data[8],
                         const std::size_t nblocks[8]) {
+  for (int lane = 0; lane < 8; ++lane) t_blocks_compressed += nblocks[lane];
   switch (active_tier_slot()) {
 #if defined(__x86_64__) || defined(__i386__)
     case ShaTier::Avx2:

@@ -47,6 +47,11 @@ ShaTier active_tier();
 /// available on this CPU.
 bool force_tier(ShaTier tier);
 
+/// SHA-256 blocks compressed on the calling thread so far, summed over
+/// compress_blocks and every lane of compress_blocks_x8, on any tier. An
+/// exact, host-independent work count: read it before and after the work.
+std::uint64_t blocks_compressed();
+
 /// Compress `nblocks` consecutive 64-byte blocks into `state` (the eight
 /// working variables, host-endian words) via the active tier.
 void compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
@@ -57,7 +62,9 @@ void compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
 /// `data[l]`. Lanes with nblocks 0 are untouched; `data` pointers of such
 /// lanes may be null. On the Avx2 tier the streams run in parallel vector
 /// lanes; other tiers loop lanes through the single-stream kernel. Digests
-/// are bit-identical across tiers either way.
+/// are bit-identical across tiers either way. No protocol path calls it
+/// (verification goes through HmacKey::mac); the kernel tests and
+/// bench_micro keep it exercised.
 void compress_blocks_x8(std::uint32_t states[][8],
                         const std::uint8_t* const data[8],
                         const std::size_t nblocks[8]);

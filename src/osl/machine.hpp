@@ -58,12 +58,12 @@ class Application {
   /// The machine rebooted (recover/rerandomize): connections are gone.
   /// Durable service state survives; volatile sessions do not.
   virtual void handle_reboot() {}
-  /// Lane-batched verification staging. The machine calls this when `env`'s
+  /// Verification staging. The machine calls this when `env`'s
   /// message enters the service queue (never for degraded admissions): the
   /// application may enqueue into `batch` the signature check it would
   /// otherwise compute one-shot inside handle_message, and return the job
-  /// id. The machine flushes the batch kLanes wide and hands the verdict
-  /// back as env.staged_verdict at dispatch. Return nullopt to decline —
+  /// id. The machine flushes the batch every kLanes jobs and hands the
+  /// verdict back as env.staged_verdict at dispatch. Return nullopt to decline —
   /// handle_message then runs with staged_verdict unset and verifies as
   /// usual. Crypto costs real time, not simulated time, so staging is
   /// observationally invisible to the simulation; the application's
@@ -261,8 +261,8 @@ class Machine final : public net::Handler {
   /// incarnation they belonged to is gone.
   std::uint64_t service_epoch_ = 0;
   OverloadStats overload_stats_;
-  /// Lane-batched verification staging area for queued messages. Flushed
-  /// kLanes wide as admissions accumulate; cleared whenever the queue
+  /// Verification staging area for queued messages. Flushed every kLanes
+  /// jobs as admissions accumulate; cleared whenever the queue
   /// drains (job ids are batch indices, so clearing requires that no
   /// queued message still references one). Orphaned jobs — e.g. a staged
   /// message later evicted by ShedNewest — are harmless: their verdicts

@@ -90,8 +90,8 @@ class ProxyNode final : public osl::Application {
   void handle_connection_closed(net::ConnectionId id, net::HostId peer,
                                 net::CloseReason reason) override;
   void handle_reboot() override;
-  /// Stage the inner-signature check of a queued server Response through
-  /// the machine's lane-batched crypto plane (same acceptance as the
+  /// Stage the inner-signature check of a queued server Response in the
+  /// machine's staged verify batch (same acceptance as the
   /// one-shot verify in handle_server_response; see crypto::BatchVerifier).
   std::optional<std::size_t> stage_verify(
       const net::Envelope& env, crypto::BatchVerifier& batch) override;

@@ -462,25 +462,7 @@ bool verify_over_signature(const MessageView& m,
 
 bool verify_double_signature(const MessageView& m,
                              const crypto::KeyRegistry& registry) {
-  if (!m.signature() || !m.over_signature()) return false;
-  // One 2-lane flush instead of two sequential HMACs. enqueue() copies the
-  // signing bytes into the batch arena, so the scratch buffer can be
-  // reused between the two splices. A signer the registry does not know
-  // yields a null schedule, which enqueue() records as a false verdict —
-  // the same rejection verify_tag's by-name lookup produces.
-  thread_local crypto::BatchVerifier batch;
-  batch.clear();
-  Bytes& scratch = verify_scratch();
-  m.signing_bytes_into(scratch);
-  const std::size_t inner = batch.enqueue(
-      registry.schedule_for(m.signature()->signer), scratch,
-      m.signature()->tag);
-  m.over_signing_bytes_into(scratch);
-  const std::size_t over = batch.enqueue(
-      registry.schedule_for(m.over_signature()->signer), scratch,
-      m.over_signature()->tag);
-  batch.flush();
-  return batch.verdict(inner) && batch.verdict(over);
+  return verify_message(m, registry) && verify_over_signature(m, registry);
 }
 
 std::optional<std::size_t> stage_verify_from_indexed_peer(

@@ -289,12 +289,8 @@ bool verify_from_indexed_peer(const MessageView& m,
 bool verify_over_signature(const MessageView& m,
                            const crypto::KeyRegistry& registry);
 
-/// The client's fortified double-signature check — verify_message(m) AND
-/// verify_over_signature(m) — with both HMACs computed through one 2-lane
-/// batch flush so the multi-buffer kernel covers them in a single pass.
-/// AND semantics make the speculative evaluation of the second check
-/// observationally invisible; acceptance is identical to the two one-shot
-/// calls.
+/// The client's fortified double-signature check: verify_message(m) AND
+/// verify_over_signature(m).
 bool verify_double_signature(const MessageView& m,
                              const crypto::KeyRegistry& registry);
 

@@ -444,9 +444,8 @@ void SmrReplica::handle_state_reply(const net::Envelope& env,
   if (!stale_) return;
   if (!verified(env, msg)) return;
   if (msg.seq() < executed_seq_) return;  // older than what we already have
-  crypto::Digest d = crypto::Sha256::hash(msg.aux());
-  auto key = std::make_pair(msg.seq(), to_hex(BytesView(d.data(), d.size())));
-  StateOffer& offer = state_offers_[key];
+  StateOffer& offer =
+      state_offers_[{msg.seq(), crypto::Sha256::hash(msg.aux())}];
   offer.senders.insert(msg.sender_index());
   offer.snapshot.assign(msg.aux().begin(), msg.aux().end());
   // f+1 identical offers guarantee at least one comes from a correct

@@ -76,8 +76,8 @@ class SmrReplica final : public osl::Application {
   void handle_message(const net::Envelope& env) override;
   void handle_reboot() override;
   /// Stage the peer-signature check of a queued ordering message
-  /// (PrePrepare/PrepareAck/ViewChange/StateReply) through the machine's
-  /// lane-batched crypto plane; same acceptance as the one-shot
+  /// (PrePrepare/PrepareAck/ViewChange/StateReply) in the machine's
+  /// staged verify batch; same acceptance as the one-shot
   /// verify_from_peer (see crypto::BatchVerifier).
   std::optional<std::size_t> stage_verify(
       const net::Envelope& env, crypto::BatchVerifier& batch) override;
@@ -181,7 +181,7 @@ class SmrReplica final : public osl::Application {
     std::set<std::uint32_t> senders;
     Bytes snapshot;
   };
-  std::map<std::pair<std::uint64_t, std::string>, StateOffer> state_offers_;
+  std::map<std::pair<std::uint64_t, crypto::Digest>, StateOffer> state_offers_;
 
   sim::Time last_progress_ = 0.0;
   sim::PeriodicTimer heartbeat_timer_;

@@ -1,13 +1,13 @@
-// BatchVerifier correctness: lane-batched verification must accept EXACTLY
-// the (schedule, message, tag) triples the one-shot verify_tag_with path
+// BatchVerifier correctness: staged verification must accept EXACTLY the
+// (schedule, message, tag) triples the one-shot verify_tag_with path
 // accepts — that is the observational-invisibility contract the protocol
 // stack relies on when it stages verifications at the machine boundary.
 //
 // The differential fuzz feeds >= 50k messages (valid tags, corrupted tags,
 // truncated tags, wrong keys, absent schedules, every batch fill level)
 // through both paths under every available dispatch tier. Message copies
-// live in the verifier's arena; one CI run under -DFORTRESS_SANITIZE=address
-// turns any kernel over-read of a padded lane buffer into a hard failure.
+// live in the verifier's arena; a run under -DFORTRESS_SANITIZE=address
+// turns any over-read of an arena copy into a hard failure.
 #include "crypto/batch.hpp"
 
 #include <gtest/gtest.h>

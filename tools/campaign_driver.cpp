@@ -50,11 +50,19 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+/// Write `text` to `<path>.tmp`, then rename it over `path`: a killed or
+/// failing writer never leaves a torn file at `path`, and a write that fails
+/// leaves any previous file there byte-identical.
 void spit(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot write " + tmp);
   out << text;
-  if (!out) throw std::runtime_error("write failed: " + path);
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("write failed: " + path);
+  }
 }
 
 struct Options {

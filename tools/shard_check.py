@@ -27,6 +27,11 @@ The driver's argument parsing is pinned too: a `shard` invocation whose
 wrapping or truncating parser would turn into a valid-looking shard) must
 exit non-zero and leave no sidecar behind. `shard` rather than `run`, so a
 driver that accepts the value runs one small shard instead of forking.
+
+Sidecars and reports are written to `<path>.tmp` and renamed over the
+target, so no `*.tmp` file may be left after `run` or `shard`, and a write
+that fails (here: `<path>.tmp` pre-created as a directory) must exit
+non-zero and leave the previous target byte-identical.
 """
 
 import argparse
@@ -49,7 +54,40 @@ def run_sharded(driver: str, spec: pathlib.Path, shards: int,
     if len(sidecars) != shards:
         raise RuntimeError(
             f"{spec.name}: expected {shards} sidecars, found {len(sidecars)}")
+    check_no_tmp(spec, workdir)
     return merged.read_bytes()
+
+
+def check_no_tmp(spec: pathlib.Path, workdir: pathlib.Path) -> None:
+    left = sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*.tmp"))
+    if left:
+        raise RuntimeError(f"{spec.name}: temporary files left: {left}")
+
+
+def check_atomic_shard_write(driver: str, spec: pathlib.Path) -> int:
+    """`shard` leaves no *.tmp; a failed write keeps the old target."""
+    with tempfile.TemporaryDirectory(prefix="shard_check.") as tmp:
+        workdir = pathlib.Path(tmp)
+        out = workdir / "s.json"
+        cmd = [driver, "shard", "--spec", str(spec), "--shard", "0",
+               "--shards", "2", "--out", str(out)]
+        try:
+            subprocess.run(cmd, check=True)
+            check_no_tmp(spec, workdir)
+        except (subprocess.CalledProcessError, RuntimeError) as e:
+            print(f"FAIL shard write: {e}", file=sys.stderr)
+            return 1
+        before = out.read_bytes()
+        (workdir / "s.json.tmp").mkdir()
+        proc = subprocess.run(cmd, capture_output=True)
+        if proc.returncode == 0 or out.read_bytes() != before:
+            print(f"FAIL shard with an unwritable temp file: exit "
+                  f"{proc.returncode}, target "
+                  f"{'kept' if out.read_bytes() == before else 'changed'}",
+                  file=sys.stderr)
+            return 1
+    print("OK   shard writes via a renamed temp file")
+    return 0
 
 
 # (--shard, --shards) pairs the driver must reject without writing anything.
@@ -140,6 +178,7 @@ def main() -> int:
         else:
             print(f"OK   {spec.name}")
     failures += check_rejects_bad_args(args.driver, specs[0])
+    failures += check_atomic_shard_write(args.driver, specs[0])
     return 0 if failures == 0 else 1
 
 
