@@ -18,58 +18,182 @@ sim::Time LatencySpec::sample(Rng& rng) const {
 
 namespace {
 
-// Validation helpers: the success path is pure comparisons — the error
-// string (field path + expectation + offending value) is only built when a
-// check fails, so per-trial plan validation costs branches, not allocations.
+// Validation helpers: the success path is pure comparisons. The error
+// string (plan path + field + expectation + offending value) is only built
+// when a check fails — the path is a chain of Ctx links on the stack and
+// an indexed field is a (name, index, member) triple — so per-trial plan
+// validation costs branches, not allocations.
 
-[[noreturn]] void plan_fail(const std::string& ctx, const char* field,
+/// Where in a plan a check applies: a root (a caller's string, or
+/// "ScenarioPlan '<name>'") followed by ".member" links.
+class Ctx {
+ public:
+  explicit Ctx(const std::string& root) : root_(&root) {}
+  static Ctx plan(const std::string& name) {
+    Ctx c;
+    c.plan_name_ = &name;
+    return c;
+  }
+  Ctx member(const char* m) const {
+    Ctx c;
+    c.parent_ = this;
+    c.member_ = m;
+    return c;
+  }
+  std::string str() const {
+    if (parent_ != nullptr) return parent_->str() + "." + member_;
+    if (plan_name_ != nullptr) return "ScenarioPlan '" + *plan_name_ + "'";
+    return *root_;
+  }
+
+ private:
+  Ctx() = default;
+  const std::string* root_ = nullptr;
+  const std::string* plan_name_ = nullptr;
+  const Ctx* parent_ = nullptr;
+  const char* member_ = nullptr;
+};
+
+/// A field name, or an element of an array field ("faults[2].at").
+struct Field {
+  Field(const char* n) : name(n) {}  // NOLINT: implicit, like the literal
+  Field(const char* n, std::size_t i, const char* m = "")
+      : name(n), index(i), member(m), indexed(true) {}
+  std::string str() const {
+    if (!indexed) return name;
+    return std::string(name) + "[" + std::to_string(index) + "]" + member;
+  }
+  const char* name;
+  std::size_t index = 0;
+  const char* member = "";
+  bool indexed = false;
+};
+
+[[noreturn]] void plan_fail(const Ctx& ctx, const Field& field,
                             const char* expectation, double got) {
   std::ostringstream os;
-  os << ctx << ": " << field << " " << expectation << ", got " << got;
+  os << ctx.str() << ": " << field.str() << " " << expectation << ", got "
+     << got;
   throw PlanValidationError(os.str());
 }
 
-[[noreturn]] void plan_fail_msg(const std::string& ctx, const std::string& m) {
-  throw PlanValidationError(ctx + ": " + m);
+[[noreturn]] void plan_fail_msg(const Ctx& ctx, const std::string& m) {
+  throw PlanValidationError(ctx.str() + ": " + m);
 }
 
 /// Finite and >= 0 — the shape every rate, probability floor, cost and
 /// timestamp in a plan shares. NaN fails every comparison, so checks are
 /// written as negations of the allowed range.
-void check_nonneg(const std::string& ctx, const char* field, double v) {
+void check_nonneg(const Ctx& ctx, const Field& field, double v) {
   if (!(std::isfinite(v) && v >= 0.0)) {
     plan_fail(ctx, field, "must be finite and >= 0", v);
   }
 }
 
-void check_probability(const std::string& ctx, const char* field, double v) {
+void check_probability(const Ctx& ctx, const Field& field, double v) {
   if (!(std::isfinite(v) && v >= 0.0 && v <= 1.0)) {
     plan_fail(ctx, field, "must be in [0, 1]", v);
   }
 }
 
-std::string indexed(const char* field, std::size_t i) {
-  return std::string(field) + "[" + std::to_string(i) + "]";
+void check_latency(const LatencySpec& l, const Ctx& ctx) {
+  check_nonneg(ctx, "a", l.a);
+  switch (l.kind) {
+    case LatencySpec::Kind::Fixed:
+      break;
+    case LatencySpec::Kind::Uniform:
+      if (!(std::isfinite(l.b) && l.b >= l.a)) {
+        plan_fail(ctx, "b", "must be finite and >= a (uniform)", l.b);
+      }
+      break;
+    case LatencySpec::Kind::Exponential:
+      if (!(std::isfinite(l.b) && l.b > 0.0)) {
+        plan_fail(ctx, "b", "must be finite and > 0 (exponential mean)", l.b);
+      }
+      break;
+  }
+}
+
+void check_service(const ServiceModel& m, const Ctx& ctx) {
+  if (!m.enabled) return;
+  check_latency(m.request_service, ctx.member("request_service"));
+  check_latency(m.response_service, ctx.member("response_service"));
+  check_latency(m.other_service, ctx.member("other_service"));
+  check_nonneg(ctx, "verify_cost", m.verify_cost);
+  if (m.queue_capacity < 1) {
+    plan_fail(ctx, "queue_capacity", "must be >= 1", m.queue_capacity);
+  }
+  if (m.policy == OverloadPolicy::Backpressure &&
+      !(std::isfinite(m.pushback_delay) && m.pushback_delay > 0.0)) {
+    plan_fail(ctx, "pushback_delay",
+              "must be finite and > 0 under Backpressure", m.pushback_delay);
+  }
+}
+
+void check_traffic(const TrafficSpec& t, const Ctx& ctx) {
+  if (!t.enabled()) return;
+  if (t.clients < 1) plan_fail(ctx, "clients", "must be >= 1", t.clients);
+  check_probability(ctx, "write_fraction", t.write_fraction);
+  if (t.distinct_keys < 1) {
+    plan_fail(ctx, "distinct_keys", "must be >= 1", t.distinct_keys);
+  }
+  sim::Time prev = -1.0;
+  for (std::size_t i = 0; i < t.schedule.size(); ++i) {
+    const RatePhase& phase = t.schedule[i];
+    if (!(std::isfinite(phase.at) && phase.at >= 0.0 && phase.at > prev)) {
+      plan_fail_msg(
+          ctx, Field("schedule", i).str() + ".at must be finite, >= 0 and " +
+                   "strictly after the previous phase (" +
+                   std::to_string(prev) + "), got " + std::to_string(phase.at));
+    }
+    check_nonneg(ctx, Field("schedule", i, ".rate"), phase.rate);
+    prev = phase.at;
+  }
+  if (!(std::isfinite(t.retry_base) && t.retry_base > 0.0)) {
+    plan_fail(ctx, "retry_base", "must be finite and > 0", t.retry_base);
+  }
+  if (!(std::isfinite(t.retry_multiplier) && t.retry_multiplier >= 1.0)) {
+    plan_fail(ctx, "retry_multiplier", "must be finite and >= 1",
+              t.retry_multiplier);
+  }
+  check_nonneg(ctx, "retry_cap", t.retry_cap);
+  if (!(std::isfinite(t.retry_jitter) && t.retry_jitter >= 0.0 &&
+        t.retry_jitter < 1.0)) {
+    plan_fail(ctx, "retry_jitter", "must be in [0, 1)", t.retry_jitter);
+  }
+  check_nonneg(ctx, "request_deadline", t.request_deadline);
+}
+
+void check_population(const PopulationSpec& p, const Ctx& ctx) {
+  if (!p.enabled()) return;
+  if (p.cohort_size < 1) {
+    plan_fail(ctx, "cohort_size", "must be >= 1 (zero-size cohorts)",
+              p.cohort_size);
+  }
+  check_nonneg(ctx, "request_rate", p.request_rate);
+  check_probability(ctx, "write_fraction", p.write_fraction);
+  // Keys live in a u16 table column.
+  if (p.distinct_keys < 1 || p.distinct_keys > 65536) {
+    plan_fail(ctx, "distinct_keys", "must be in [1, 65536]", p.distinct_keys);
+  }
+  if (!(std::isfinite(p.tick_interval) && p.tick_interval > 0.0)) {
+    plan_fail(ctx, "tick_interval", "must be finite and > 0", p.tick_interval);
+  }
+  if (!(std::isfinite(p.retry_base) && p.retry_base > 0.0)) {
+    plan_fail(ctx, "retry_base", "must be finite and > 0", p.retry_base);
+  }
+  if (!(std::isfinite(p.retry_multiplier) && p.retry_multiplier >= 1.0)) {
+    plan_fail(ctx, "retry_multiplier", "must be finite and >= 1",
+              p.retry_multiplier);
+  }
+  check_nonneg(ctx, "retry_cap", p.retry_cap);
+  check_nonneg(ctx, "request_deadline", p.request_deadline);
 }
 
 }  // namespace
 
 void LatencySpec::validate(const std::string& ctx) const {
-  check_nonneg(ctx, "a", a);
-  switch (kind) {
-    case Kind::Fixed:
-      break;
-    case Kind::Uniform:
-      if (!(std::isfinite(b) && b >= a)) {
-        plan_fail(ctx, "b", "must be finite and >= a (uniform)", b);
-      }
-      break;
-    case Kind::Exponential:
-      if (!(std::isfinite(b) && b > 0.0)) {
-        plan_fail(ctx, "b", "must be finite and > 0 (exponential mean)", b);
-      }
-      break;
-  }
+  check_latency(*this, Ctx(ctx));
 }
 
 bool PartitionWindow::contains(const Address& addr) const {
@@ -77,98 +201,32 @@ bool PartitionWindow::contains(const Address& addr) const {
 }
 
 void ServiceModel::validate(const std::string& ctx) const {
-  if (!enabled) return;
-  request_service.validate(ctx + ".request_service");
-  response_service.validate(ctx + ".response_service");
-  other_service.validate(ctx + ".other_service");
-  check_nonneg(ctx, "verify_cost", verify_cost);
-  if (queue_capacity < 1) {
-    plan_fail(ctx, "queue_capacity", "must be >= 1", queue_capacity);
-  }
-  if (policy == OverloadPolicy::Backpressure &&
-      !(std::isfinite(pushback_delay) && pushback_delay > 0.0)) {
-    plan_fail(ctx, "pushback_delay",
-              "must be finite and > 0 under Backpressure", pushback_delay);
-  }
+  check_service(*this, Ctx(ctx));
 }
 
 void TrafficSpec::validate(const std::string& ctx) const {
-  if (!enabled()) return;
-  if (clients < 1) plan_fail(ctx, "clients", "must be >= 1", clients);
-  check_probability(ctx, "write_fraction", write_fraction);
-  if (distinct_keys < 1) {
-    plan_fail(ctx, "distinct_keys", "must be >= 1", distinct_keys);
-  }
-  sim::Time prev = -1.0;
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const RatePhase& phase = schedule[i];
-    if (!(std::isfinite(phase.at) && phase.at >= 0.0 && phase.at > prev)) {
-      plan_fail_msg(
-          ctx, indexed("schedule", i) + ".at must be finite, >= 0 and " +
-                   "strictly after the previous phase (" +
-                   std::to_string(prev) + "), got " + std::to_string(phase.at));
-    }
-    check_nonneg(ctx, indexed("schedule", i).append(".rate").c_str(),
-                 phase.rate);
-    prev = phase.at;
-  }
-  if (!(std::isfinite(retry_base) && retry_base > 0.0)) {
-    plan_fail(ctx, "retry_base", "must be finite and > 0", retry_base);
-  }
-  if (!(std::isfinite(retry_multiplier) && retry_multiplier >= 1.0)) {
-    plan_fail(ctx, "retry_multiplier", "must be finite and >= 1",
-              retry_multiplier);
-  }
-  check_nonneg(ctx, "retry_cap", retry_cap);
-  if (!(std::isfinite(retry_jitter) && retry_jitter >= 0.0 &&
-        retry_jitter < 1.0)) {
-    plan_fail(ctx, "retry_jitter", "must be in [0, 1)", retry_jitter);
-  }
-  check_nonneg(ctx, "request_deadline", request_deadline);
+  check_traffic(*this, Ctx(ctx));
 }
 
 void PopulationSpec::validate(const std::string& ctx) const {
-  if (!enabled()) return;
-  if (cohort_size < 1) {
-    plan_fail(ctx, "cohort_size", "must be >= 1 (zero-size cohorts)",
-              cohort_size);
-  }
-  check_nonneg(ctx, "request_rate", request_rate);
-  check_probability(ctx, "write_fraction", write_fraction);
-  // Keys live in a u16 table column.
-  if (distinct_keys < 1 || distinct_keys > 65536) {
-    plan_fail(ctx, "distinct_keys", "must be in [1, 65536]", distinct_keys);
-  }
-  if (!(std::isfinite(tick_interval) && tick_interval > 0.0)) {
-    plan_fail(ctx, "tick_interval", "must be finite and > 0", tick_interval);
-  }
-  if (!(std::isfinite(retry_base) && retry_base > 0.0)) {
-    plan_fail(ctx, "retry_base", "must be finite and > 0", retry_base);
-  }
-  if (!(std::isfinite(retry_multiplier) && retry_multiplier >= 1.0)) {
-    plan_fail(ctx, "retry_multiplier", "must be finite and >= 1",
-              retry_multiplier);
-  }
-  check_nonneg(ctx, "retry_cap", retry_cap);
-  check_nonneg(ctx, "request_deadline", request_deadline);
+  check_population(*this, Ctx(ctx));
 }
 
 void ScenarioPlan::validate() const {
-  const std::string ctx = "ScenarioPlan '" + name + "'";
-  latency.validate(ctx + ".latency");
+  const Ctx ctx = Ctx::plan(name);
+  check_latency(latency, ctx.member("latency"));
   check_probability(ctx, "drop_probability", drop_probability);
   check_probability(ctx, "duplicate_probability", duplicate_probability);
   for (std::size_t i = 0; i < partitions.size(); ++i) {
     const PartitionWindow& w = partitions[i];
-    check_nonneg(ctx, indexed("partitions", i).append(".start").c_str(),
-                 w.start);
+    check_nonneg(ctx, Field("partitions", i, ".start"), w.start);
     if (!(std::isfinite(w.end) && w.end >= w.start)) {
-      plan_fail_msg(ctx, indexed("partitions", i) + ": inverted window [" +
+      plan_fail_msg(ctx, Field("partitions", i).str() + ": inverted window [" +
                              std::to_string(w.start) + ", " +
                              std::to_string(w.end) + ")");
     }
     if (w.island.empty()) {
-      plan_fail_msg(ctx, indexed("partitions", i) +
+      plan_fail_msg(ctx, Field("partitions", i).str() +
                              ".island must name at least one address");
     }
   }
@@ -176,10 +234,9 @@ void ScenarioPlan::validate() const {
     const FaultEvent& f = faults[i];
     // Policy note: `at` at or past the horizon is VALID — the campaign
     // drops such events (dead work) rather than rejecting the plan.
-    check_nonneg(ctx, indexed("faults", i).append(".at").c_str(), f.at);
+    check_nonneg(ctx, Field("faults", i, ".at"), f.at);
     if (f.index < 0) {
-      plan_fail(ctx, indexed("faults", i).append(".index").c_str(),
-                "must be >= 0", f.index);
+      plan_fail(ctx, Field("faults", i, ".index"), "must be >= 0", f.index);
     }
   }
   if (attack.enabled) {
@@ -212,9 +269,9 @@ void ScenarioPlan::validate() const {
               "must be finite and > 0 under proxy_blacklist",
               detection_window);
   }
-  service.validate(ctx + ".service");
-  traffic.validate(ctx + ".traffic");
-  population.validate(ctx + ".population");
+  check_service(service, ctx.member("service"));
+  check_traffic(traffic, ctx.member("traffic"));
+  check_population(population, ctx.member("population"));
 }
 
 }  // namespace fortress::net

@@ -320,6 +320,9 @@ class TrialArena {
   TrialOutcome run(model::SystemKind system, const net::ScenarioPlan& plan,
                    std::uint64_t seed);
 
+  /// Scheduler work of the last run() (the simulator resets per trial).
+  const sim::SchedulerWork& scheduler_work() const { return sim_.work(); }
+
  private:
   /// Schedule the plan's faults, bring up the population, traffic and
   /// attacker planes, simulate to compromise or horizon and collect the

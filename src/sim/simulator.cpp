@@ -29,8 +29,8 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
   FORTRESS_EXPECTS(at >= now_);
   FORTRESS_EXPECTS(static_cast<bool>(fn));
   const std::uint32_t slot = alloc_node();
-  Node& n = node(slot);
   fn_of(slot) = std::move(fn);
+  Node& n = node(slot);
   n.at = at;
   n.seq = next_seq_++;
   enqueue(slot);
@@ -42,20 +42,27 @@ EventId Simulator::schedule_after(Time delay, EventFn fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-/// Execute the handler of `slot` IN PLACE in the slab, then recycle the
-/// slot. The id is released (generation bump) before invocation, so the
-/// handler observes exactly the classic contract: cancel(own id) returns
-/// false, and newly scheduled events may not collide with the running one
-/// (the slot rejoins the free list only after the handler returns — chunked
-/// storage keeps its address stable while the handler grows the slab).
+/// Execute the handler of `slot` IN PLACE in its callable chunk, then
+/// recycle the slot unless the handler re-armed it (PeriodicTimer). The id
+/// is released (generation bump) before invocation, so the handler observes
+/// exactly the classic contract: cancel(own id) returns false, and newly
+/// scheduled events may not collide with the running one (the slot rejoins
+/// the free list only after the handler returns — chunked callable storage
+/// keeps its address stable while the handler grows the slab). The handler
+/// may reallocate nodes_, so the node is re-fetched afterwards.
 /// Precondition: the slot's queue/bucket membership is already severed.
 void Simulator::invoke_slot(std::uint32_t slot) {
-  Node& n = node(slot);
-  now_ = n.at;
-  if (++n.gen == 0) n.gen = 1;
-  n.loc = kLocFree;
+  ++work_.fires;
+  {
+    Node& n = node(slot);
+    now_ = n.at;
+    if (++n.gen == 0) n.gen = 1;
+    n.loc = kLocFree;
+  }
   EventFn& fn = fn_of(slot);
   fn();
+  Node& n = node(slot);
+  if (n.loc != kLocFree) return;  // re-armed in place: queued again
   fn.reset();
   n.next = free_head_;
   free_head_ = slot;
@@ -122,9 +129,10 @@ void Simulator::unlink_from_bucket(std::uint32_t slot) {
 /// Stage the next event, advancing the cursor (cascading coarse buckets,
 /// draining eligible overflow) as needed, but never extracting a bucket
 /// whose start tick exceeds `limit_tick`. Returns Due when due_ fronts a
-/// live entry, Direct (with direct_slot_ set) when the sole entry of the
-/// extracted tick can run without a due round-trip, and Empty when every
-/// remaining entry (if any) starts past the limit.
+/// live entry, Direct (with direct_slot_ set and cursor_ at its tick) when
+/// the sole entry of the extracted bucket can run without a cascade or a
+/// due round-trip, and Empty when every remaining entry (if any) starts
+/// past the limit.
 Simulator::Advance Simulator::wheel_advance(std::uint64_t limit_tick) {
   for (;;) {
     // (1) A live entry already staged in the due heap wins outright: staged
@@ -198,16 +206,24 @@ Simulator::Advance Simulator::wheel_advance(std::uint64_t limit_tick) {
     std::uint32_t walk = bucket_head_[bucket];
     bucket_head_[bucket] = kNil;
     occupied_[static_cast<std::size_t>(lvl)] &= ~(std::uint64_t{1} << sl);
-    if (lvl == 0) {
-      // Level-0 buckets hold exactly one tick (== slot_start == cursor_
-      // now). A lone entry needs no ordering — hand it to the run loop
-      // directly, skipping the due heap entirely (the common case at
-      // campaign event densities). Multiple entries stage into due_ for
-      // exact (time, seq) ordering.
-      if (node(walk).next == kNil) {
+    if (node(walk).next == kNil) {
+      // A lone entry is the next event overall: nothing else is due, and
+      // every other bucket starts after this one's range. Jump the cursor
+      // to its tick and hand it to the run loop directly — no cascade
+      // through the finer levels, no due heap (the common case at
+      // campaign event densities). A coarse entry past the limit cascades
+      // instead, so the cursor never passes `limit_tick` and run_until
+      // leaves later schedules filing into buckets, not into due_.
+      const std::uint64_t t = tick_of(node(walk).at);
+      if (t <= limit_tick) {
+        cursor_ = t;
         direct_slot_ = walk;
         return Advance::Direct;
       }
+    }
+    if (lvl == 0) {
+      // Level-0 buckets hold exactly one tick (== slot_start == cursor_
+      // now); several entries stage into due_ for exact (time, seq) order.
       while (walk != kNil) {
         Node& n = node(walk);
         const std::uint32_t next = n.next;
@@ -221,6 +237,7 @@ Simulator::Advance Simulator::wheel_advance(std::uint64_t limit_tick) {
       // (or in due_ for the slot-start tick itself).
       while (walk != kNil) {
         const std::uint32_t next = node(walk).next;
+        ++work_.cascade_placements;
         wheel_place(walk, tick_of(node(walk).at));
         walk = next;
       }
@@ -261,10 +278,11 @@ std::uint64_t Simulator::wheel_run_until(Time until) {
     const Advance a = wheel_advance(limit_tick);
     if (a == Advance::Empty) break;
     if (a == Advance::Direct) {
-      // The limit tick is only slot-granular; the exact boundary check
+      // The limit tick is only tick-granular; the exact boundary check
       // (events at exactly `until` run, later ones in the same tick do
-      // not) is here. A beyond-the-boundary direct entry re-stages into
-      // due_ — its tick is already <= cursor_ — for the next call.
+      // not) is here. A beyond-the-boundary direct entry (from any level:
+      // its tick is limit_tick) re-stages into due_ — its tick is
+      // cursor_ — for the next call.
       Node& n = node(direct_slot_);
       if (n.at > until) {
         n.loc = kLocQueue;
@@ -319,8 +337,8 @@ void Simulator::reset() {
   // the callable chunks — pooling a 10^5-slot slab costs a memory sweep,
   // not 10^5 destructor calls.
   const auto kill = [this](std::uint32_t slot) {
+    fn_of(slot).reset();  // first: a destructor may grow nodes_
     Node& n = node(slot);
-    fn_of(slot).reset();
     if (++n.gen == 0) n.gen = 1;
   };
   for (const HeapEntry& e : heap_) {
@@ -354,12 +372,13 @@ void Simulator::reset() {
   wheel_entries_ = 0;
   cancelled_count_ = 0;
   free_head_ = kNil;
-  for (std::uint32_t i = node_count_; i > 0; --i) {
+  for (auto i = static_cast<std::uint32_t>(nodes_.size()); i > 0; --i) {
     Node& n = node(i - 1);
     n.loc = kLocFree;
     n.next = free_head_;
     free_head_ = i - 1;
   }
+  work_ = SchedulerWork{};
   now_ = 0.0;
   next_seq_ = 0;
   stop_requested_ = false;
@@ -375,9 +394,10 @@ void PeriodicTimer::arm(Time delay) {
     if (!running_) return;
     // This event has fired: clear its id so a stop(); start(); inside fn_
     // is visible below as a fresh arm, which then replaces the re-arm.
+    const EventId fired = pending_;
     pending_ = 0;
     fn_();
-    if (running_ && pending_ == 0) arm(period_);
+    if (running_ && pending_ == 0) pending_ = sim_.rearm(fired, period_);
   });
 }
 

@@ -16,20 +16,30 @@
 //    per-event heap allocation happens at all. schedule_at/schedule_after
 //    are templates that construct the callable directly in its slab slot
 //    (no intermediate 120-byte relocation).
-//  * Event nodes live in a chunked slab recycled through a free list;
-//    EventId encodes (slot, generation), making cancel() an O(1) indexed
-//    check with no hashing and immune to slot-reuse ABA. Chunks give every
-//    node a stable address for the slot's lifetime, so handlers are invoked
-//    IN PLACE in the slab — zero bytes of callable are moved per executed
+//  * A slot's metadata (time, seq, generation, queue links) lives in one
+//    flat std::vector<Node>, so node(slot) is a single indexed load; its
+//    callable lives in a parallel array of fixed 1024-slot chunks, whose
+//    addresses never move. Slots are recycled through a free list; EventId
+//    encodes (slot, generation), making cancel() an O(1) indexed check
+//    with no hashing and immune to slot-reuse ABA. Handlers are invoked IN
+//    PLACE in their chunk — zero bytes of callable are moved per executed
 //    event (the id is released before invocation, so cancel-own-id and
 //    slot-reuse semantics match the classic move-out-then-run contract).
+//    A handler may grow the metadata vector, so no Node reference is held
+//    across an invocation.
+//  * PeriodicTimer re-arms in place: a fired periodic event keeps its slot
+//    and its callable, takes a fresh generation, time and seq (drawn at the
+//    point a fresh schedule would draw it), and is re-filed — no slot or
+//    callable churn per periodic fire.
 //  * The default scheduler is a hierarchical timer wheel (8 levels x 64
 //    slots over 2^-10-unit ticks). Wheel-resident events are doubly linked
 //    through the slab itself (no side allocations), so schedule is O(1)
 //    pointer splicing and cancel is O(1) true removal. Far timers cascade
 //    down through coarser levels; a tiny (time, seq) "due" heap totally
 //    orders the entries of the current tick, keeping execution order
-//    bit-identical to a global binary heap.
+//    bit-identical to a global binary heap. The lone entry of an
+//    extracted bucket, at any level, is the next event overall and runs
+//    directly, without a cascade or a due-heap round trip.
 //  * The original binary heap survives as a reference scheduler, selected
 //    per-instance or process-wide via FORTRESS_SIM_SCHEDULER=heap; a ctest
 //    lane re-runs the sim/scenario suites under it so both implementations
@@ -37,6 +47,9 @@
 //  * Cancelled events in the binary heaps (reference scheduler, due/
 //    overflow staging) leave generation-mismatch tombstones that are
 //    skipped (and accounted) when touched.
+//  * SchedulerWork counts fires, placements, cascade placements, slot
+//    allocations and in-place re-arms per Simulator (plain members, reset
+//    by reset()); tests gate the per-fire ratios.
 #pragma once
 
 #include <algorithm>
@@ -72,6 +85,17 @@ SchedulerKind default_scheduler_kind();
 
 const char* to_string(SchedulerKind kind);
 
+/// Exact scheduler work since construction or the last reset(). Not part of
+/// any outcome or fingerprint: the same trial reports the same counts, but
+/// a pure scheduler optimization may change them.
+struct SchedulerWork {
+  std::uint64_t fires = 0;       // handlers invoked
+  std::uint64_t placements = 0;  // wheel filings (incl. cascades) / heap pushes
+  std::uint64_t cascade_placements = 0;  // re-filings out of a coarse bucket
+  std::uint64_t slot_allocs = 0;  // slab slots handed out by schedule_at
+  std::uint64_t rearms = 0;       // periodic fires re-armed in place
+};
+
 /// The event-driven simulator. Single-threaded by construction: handlers run
 /// to completion and may schedule further events.
 class Simulator {
@@ -96,8 +120,8 @@ class Simulator {
   EventId schedule_at(Time at, F&& f) {
     FORTRESS_EXPECTS(at >= now_);
     const std::uint32_t slot = alloc_node();
-    Node& n = node(slot);
     fn_of(slot).emplace(std::forward<F>(f));
+    Node& n = node(slot);
     n.at = at;
     n.seq = next_seq_++;
     enqueue(slot);
@@ -125,7 +149,7 @@ class Simulator {
   bool cancel(EventId id) {
     const std::uint32_t slot = static_cast<std::uint32_t>(id >> 32);
     const std::uint32_t gen = static_cast<std::uint32_t>(id);
-    if (slot >= node_count_) return false;
+    if (slot >= nodes_.size()) return false;
     Node& n = node(slot);
     if (n.gen != gen) return false;  // already ran or cancelled
     if (n.loc < kNumBuckets) {
@@ -165,10 +189,13 @@ class Simulator {
   /// Request that run()/run_until() return after the current handler.
   void request_stop() { stop_requested_ = true; }
 
+  const SchedulerWork& work() const { return work_; }
+
   /// Return to the freshly-constructed state (time 0, empty queue, wheel
-  /// cursor at tick 0) while KEEPING the node slab's capacity — the point
-  /// of pooling a Simulator across campaign trials is that the slab, grown
-  /// once to the workload's high-water mark, is never reallocated again.
+  /// cursor at tick 0, zero work counters) while KEEPING the node slab's
+  /// capacity — the point of pooling a Simulator across campaign trials is
+  /// that the slab, grown once to the workload's high-water mark, is never
+  /// reallocated again.
   /// Pending handlers are destroyed; every outstanding EventId becomes
   /// stale (cancel() on one returns false, exactly as for an event that
   /// already ran).
@@ -181,6 +208,8 @@ class Simulator {
  private:
   // Geometry, node layout and heap-entry pieces live in sim/timer_wheel.hpp
   // (shared vocabulary of the wheel and the heap reference).
+  friend class PeriodicTimer;  // the only caller of rearm()
+
   static constexpr std::uint32_t kNil = detail::kNil;
   static constexpr int kChunkBits = detail::kChunkBits;
   static constexpr std::uint32_t kChunkSize = detail::kChunkSize;
@@ -200,12 +229,8 @@ class Simulator {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
-  Node& node(std::uint32_t slot) {
-    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
-  }
-  const Node& node(std::uint32_t slot) const {
-    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
-  }
+  Node& node(std::uint32_t slot) { return nodes_[slot]; }
+  const Node& node(std::uint32_t slot) const { return nodes_[slot]; }
   EventFn& fn_of(std::uint32_t slot) {
     return fn_chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
   }
@@ -220,24 +245,26 @@ class Simulator {
   }
 
   std::uint32_t alloc_node() {
+    ++work_.slot_allocs;
     if (free_head_ != kNil) {
       const std::uint32_t slot = free_head_;
       free_head_ = node(slot).next;
       return slot;
     }
-    FORTRESS_CHECK(node_count_ < kNil);
-    if ((node_count_ & (kChunkSize - 1)) == 0) {
-      chunks_.emplace_back(std::make_unique<Node[]>(kChunkSize));
+    const auto slot = static_cast<std::uint32_t>(nodes_.size());
+    FORTRESS_CHECK(slot < kNil);
+    if ((slot & (kChunkSize - 1)) == 0) {
       fn_chunks_.emplace_back(std::make_unique<EventFn[]>(kChunkSize));
     }
-    return node_count_++;
+    nodes_.emplace_back();
+    return slot;
   }
 
   /// Release a slot back to the free list. Bumping the generation first
   /// invalidates every outstanding EventId (and queue tombstone) naming it.
   void free_node(std::uint32_t slot) {
+    fn_of(slot).reset();  // first: a destructor may grow nodes_
     Node& n = node(slot);
-    fn_of(slot).reset();
     if (++n.gen == 0) n.gen = 1;  // keep ids nonzero (0 is the null EventId)
     n.loc = kLocFree;
     n.next = free_head_;
@@ -253,6 +280,7 @@ class Simulator {
   /// bucket, or the overflow heap (past the wheel horizon). Inline so the
   /// schedule templates compile the whole insert at the call site.
   void wheel_place(std::uint32_t slot, std::uint64_t tick) {
+    ++work_.placements;
     Node& n = node(slot);
     if (tick <= cursor_) {
       // At or behind the cursor: the due heap's exact (time, seq) order
@@ -285,6 +313,7 @@ class Simulator {
   void enqueue(std::uint32_t slot) {
     Node& n = node(slot);
     if (kind_ == SchedulerKind::Heap) {
+      ++work_.placements;
       n.loc = kLocQueue;
       heap_.push_back(HeapEntry{n.at, n.seq, slot, n.gen});
       std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
@@ -294,14 +323,30 @@ class Simulator {
     wheel_place(slot, tick_of(n.at));
   }
 
+  /// Re-file the event `fired` — the one whose handler is running, which
+  /// calls this as its last action — for now() + delay, keeping its slot
+  /// and its callable. invoke_slot already released `fired` (bumped the
+  /// generation), so the returned id is fresh and `fired` reads as stale;
+  /// the seq is drawn exactly where a fresh schedule_after would draw it.
+  EventId rearm(EventId fired, Time delay) {
+    const std::uint32_t slot = static_cast<std::uint32_t>(fired >> 32);
+    Node& n = node(slot);
+    FORTRESS_CHECK(n.loc == kLocFree);  // running, not yet recycled
+    n.at = now_ + delay;
+    n.seq = next_seq_++;
+    ++work_.rearms;
+    enqueue(slot);
+    return make_id(slot, n.gen);
+  }
+
   // Heap-scheduler path.
   void drop_top();
   bool heap_pop_and_run();
   std::uint64_t heap_run_until(Time until);
 
   // Wheel-scheduler path. wheel_advance tells the run loop whether the next
-  // event is staged in due_ or (fast path) is the lone entry of the tick
-  // bucket just extracted, left in direct_slot_ without touching due_.
+  // event is staged in due_ or (fast path) is the lone entry of the bucket
+  // just extracted, left in direct_slot_ without touching due_.
   enum class Advance : std::uint8_t { Empty, Due, Direct };
   Advance wheel_advance(std::uint64_t limit_tick);
   void unlink_from_bucket(std::uint32_t slot);
@@ -317,11 +362,11 @@ class Simulator {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   bool stop_requested_ = false;
-  std::vector<std::unique_ptr<Node[]>> chunks_;
-  std::vector<std::unique_ptr<EventFn[]>> fn_chunks_;  // parallel to chunks_
-  std::uint32_t node_count_ = 0;  // slots ever allocated (slab high-water)
+  std::vector<Node> nodes_;  // one per slot ever allocated (slab high-water)
+  std::vector<std::unique_ptr<EventFn[]>> fn_chunks_;  // kChunkSize slots each
   std::uint32_t free_head_ = kNil;
   std::size_t cancelled_count_ = 0;
+  SchedulerWork work_;
 
   // Heap scheduler state.
   std::vector<HeapEntry> heap_;
@@ -345,6 +390,10 @@ class Simulator {
 };
 
 /// Periodic timer helper: reschedules itself every `period` until stopped.
+/// Each fire re-arms in place (Simulator::rearm): the same slot and
+/// callable, a fresh EventId, and the seq a fresh schedule would draw after
+/// the callback returns. stop() and stop(); start() inside the callback
+/// behave as before: no re-arm, or the fresh arm instead of the re-arm.
 /// Lifetime: the timer object must outlive the simulation or be stopped.
 class PeriodicTimer {
  public:
@@ -372,6 +421,9 @@ class PeriodicTimer {
 
   bool running() const { return running_; }
   Time period() const { return period_; }
+
+  /// Id of the armed fire (0 when none): a fresh id after every re-arm.
+  EventId armed_event() const { return pending_; }
 
  private:
   void arm(Time delay);

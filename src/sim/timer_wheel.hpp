@@ -14,13 +14,18 @@
 // (entries cascade from coarser to finer levels), and the tick at/behind
 // the cursor is totally ordered by a small (time, seq) "due" heap — so
 // execution order is bit-identical to a global binary heap, which the heap
-// reference scheduler and the fortress_tests_heap ctest lane pin.
+// reference scheduler and the fortress_tests_heap ctest lane pin. When the
+// next occupied bucket (the first one found scanning from level 0 up) holds
+// a single entry, that entry is the next event overall: the cursor jumps
+// to its tick and it runs directly, at any level, instead of cascading
+// down level by level (unless its tick is past a run_until limit).
 //
 // This header holds the shared POD pieces — geometry constants, the
-// 32-byte slab Node, the binary-heap entry/comparator, and the tick/level
+// 32-byte Node, the binary-heap entry/comparator, and the tick/level
 // arithmetic — as sim::detail. The state machine itself (cascade, O(1)
-// empty-gap jumps, due staging) lives in Simulator (simulator.{hpp,cpp}),
-// which owns the slab the nodes link through.
+// empty-gap jumps, due staging, the lone-entry fast path) lives in
+// Simulator (simulator.{hpp,cpp}), which owns the flat Node vector the
+// entries link through.
 #pragma once
 
 #include <bit>
@@ -28,9 +33,10 @@
 
 namespace fortress::sim::detail {
 
-// Slab chunking: nodes are allocated in fixed 1024-slot chunks so a slot's
-// address never moves (handlers execute in place while other handlers
-// grow the slab underneath them).
+// Callable chunking: a slot's EventFn lives in a fixed 1024-slot chunk so
+// its address never moves (handlers execute in place while they grow the
+// slab). Node metadata needs no stable address and lives in one flat
+// vector.
 inline constexpr int kChunkBits = 10;
 inline constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
@@ -54,11 +60,12 @@ inline constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
 inline constexpr std::uint32_t kLocQueue = 0xfffffffeu;  // heap_/due_/ovf_
 inline constexpr std::uint32_t kLocFree = 0xffffffffu;
 
-/// Slot metadata: the (time, seq) ordering key plus queue linkage. The
-/// callable itself lives in a PARALLEL chunk array (see Simulator::fn_of)
-/// so that wheel operations — insert, cascade, cancel, bucket walks —
-/// stream 32-byte nodes (two per cache line) and never pull the 128-byte
-/// callable storage through the cache. Wheel-resident nodes doubly-link
+/// Slot metadata: the (time, seq) ordering key plus queue linkage, one
+/// element of a flat vector indexed by slot. The callable itself lives in
+/// a PARALLEL chunk array (see Simulator::fn_of) so that wheel operations
+/// — insert, cascade, cancel, bucket walks — stream 32-byte nodes (two per
+/// cache line) and never pull the 128-byte callable storage through the
+/// cache. Wheel-resident nodes doubly-link
 /// into their bucket through `next`/`prev` (`next` doubles as the
 /// free-list link while the slot is free). `gen` is bumped every time the
 /// slot is released, so stale EventIds (and queue tombstones) are

@@ -13,20 +13,35 @@
 // update, restore, signed response fan-out). The client builds its requests
 // into pooled network buffers, so it adds nothing per request itself.
 //
+// It also checks that ScenarioPlan::validate, which every trial runs once
+// through NetworkConfig::from_plan, allocates nothing on each committed
+// scenarios/*.json plan (all valid): the error context is only built when
+// a check fails.
+//
 // Usage: fortress_alloc_budget [--report]   (exit 1 when over budget)
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/live_system.hpp"
 #include "net/network.hpp"
 #include "replication/message.hpp"
 #include "replication/service.hpp"
+#include "scenario/corpus.hpp"
 #include "sim/simulator.hpp"
+
+#ifndef FORTRESS_SCENARIO_DIR
+#error "build defines FORTRESS_SCENARIO_DIR (see CMakeLists.txt)"
+#endif
 
 namespace {
 
@@ -182,6 +197,41 @@ RunResult run_s1(bool with_requests) {
   return r;
 }
 
+/// Allocations of ScenarioPlan::validate on every committed plan; prints
+/// each count and returns the number of plans that allocated.
+int validate_allocating_plans() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& e :
+       std::filesystem::directory_iterator(FORTRESS_SCENARIO_DIR)) {
+    if (e.path().extension() == ".json") paths.push_back(e.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  int allocating = 0;
+  for (const std::filesystem::path& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const net::ScenarioPlan plan =
+        scenario::corpus_entry_from_json(text.str()).plan;
+    std::uint64_t allocations = 0;
+    {
+      CountingScope scope;
+      plan.validate();
+      allocations = scope.count();
+    }
+    std::printf("alloc_budget: ScenarioPlan::validate on %s: %llu "
+                "allocations\n",
+                path.filename().c_str(),
+                static_cast<unsigned long long>(allocations));
+    if (allocations != 0) ++allocating;
+  }
+  if (paths.empty()) {
+    std::printf("alloc_budget: no plans under %s\n", FORTRESS_SCENARIO_DIR);
+    return 1;
+  }
+  return allocating;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -212,6 +262,7 @@ int main(int argc, char** argv) {
       loaded.served, static_cast<unsigned long long>(loaded.allocations),
       static_cast<unsigned long long>(idle.allocations), per_request,
       kBudgetPerRequest);
+  const int allocating_plans = validate_allocating_plans();
   if (report_only) return 0;
-  return per_request <= kBudgetPerRequest ? 0 : 1;
+  return per_request <= kBudgetPerRequest && allocating_plans == 0 ? 0 : 1;
 }

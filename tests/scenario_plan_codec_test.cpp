@@ -6,6 +6,8 @@
 // exactly-sized heap buffers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -308,6 +310,106 @@ TEST(PlanCodecTest, ValidateRejectsEmptyPartitionIsland) {
   net::ScenarioPlan p = rich_plan();
   p.partitions.push_back({1.0, 2.0, {}});
   EXPECT_THROW(p.validate(), net::PlanValidationError);
+}
+
+TEST(PlanCodecTest, ValidationMessagesAreExact) {
+  // Every message names the full field path. validate() builds the path
+  // only when a check fails, so this pins the lazily built strings byte
+  // for byte, nested contexts and indexed fields included.
+  struct Row {
+    std::function<void(net::ScenarioPlan&)> mutate;
+    const char* message;
+  };
+  const Row rows[] = {
+      {[](net::ScenarioPlan& p) { p.latency.a = -1; },
+       "ScenarioPlan 'msg'.latency: a must be finite and >= 0, got -1"},
+      {[](net::ScenarioPlan& p) { p.latency.b = 0.01; },
+       "ScenarioPlan 'msg'.latency: b must be finite and >= a (uniform), "
+       "got 0.01"},
+      {[](net::ScenarioPlan& p) { p.drop_probability = 2; },
+       "ScenarioPlan 'msg': drop_probability must be in [0, 1], got 2"},
+      {[](net::ScenarioPlan& p) {
+         p.partitions.resize(2);
+         p.partitions[0].island = {"x"};
+         p.partitions[1].start = -3;
+       },
+       "ScenarioPlan 'msg': partitions[1].start must be finite and >= 0, "
+       "got -3"},
+      {[](net::ScenarioPlan& p) {
+         p.partitions.push_back({5.0, 4.0, {"x"}});
+       },
+       "ScenarioPlan 'msg': partitions[0]: inverted window [5.000000, "
+       "4.000000)"},
+      {[](net::ScenarioPlan& p) { p.partitions.push_back({0.0, 4.0, {}}); },
+       "ScenarioPlan 'msg': partitions[0].island must name at least one "
+       "address"},
+      {[](net::ScenarioPlan& p) {
+         p.faults.resize(3);
+         p.faults[2].at = -1;
+       },
+       "ScenarioPlan 'msg': faults[2].at must be finite and >= 0, got -1"},
+      {[](net::ScenarioPlan& p) {
+         p.faults.resize(2);
+         p.faults[1].index = -2;
+       },
+       "ScenarioPlan 'msg': faults[1].index must be >= 0, got -2"},
+      {[](net::ScenarioPlan& p) { p.attack.probes_per_step = 0; },
+       "ScenarioPlan 'msg': attack.probes_per_step must be finite and > 0, "
+       "got 0"},
+      {[](net::ScenarioPlan& p) { p.keyspace = 1; },
+       "ScenarioPlan 'msg': keyspace must be >= 2, got 1"},
+      {[](net::ScenarioPlan& p) {
+         p.service.enabled = true;
+         p.service.response_service.a = NAN;
+       },
+       "ScenarioPlan 'msg'.service.response_service: a must be finite and "
+       ">= 0, got nan"},
+      {[](net::ScenarioPlan& p) {
+         p.service.enabled = true;
+         p.service.queue_capacity = 0;
+       },
+       "ScenarioPlan 'msg'.service: queue_capacity must be >= 1, got 0"},
+      {[](net::ScenarioPlan& p) {
+         p.traffic.clients = 2;
+         p.traffic.schedule = {{0.0, 1.0}, {0.0, 1.0}};
+       },
+       "ScenarioPlan 'msg'.traffic: schedule[1].at must be finite, >= 0 and "
+       "strictly after the previous phase (0.000000), got 0.000000"},
+      {[](net::ScenarioPlan& p) {
+         p.traffic.clients = 2;
+         p.traffic.schedule = {{0.0, 1.0}, {1.0, -1.0}};
+       },
+       "ScenarioPlan 'msg'.traffic: schedule[1].rate must be finite and >= "
+       "0, got -1"},
+      {[](net::ScenarioPlan& p) {
+         p.population.clients = 4;
+         p.population.cohort_size = 0;
+       },
+       "ScenarioPlan 'msg'.population: cohort_size must be >= 1 (zero-size "
+       "cohorts), got 0"},
+  };
+  for (const Row& row : rows) {
+    net::ScenarioPlan p;
+    p.name = "msg";
+    row.mutate(p);
+    try {
+      p.validate();
+      ADD_FAILURE() << "accepted; expected: " << row.message;
+    } catch (const net::PlanValidationError& e) {
+      EXPECT_EQ(std::string(e.what()), row.message);
+    }
+  }
+  net::TrafficSpec t;
+  t.clients = 1;
+  t.schedule = {{0.0, 1.0}};
+  t.retry_base = 0;
+  try {
+    t.validate("custom");
+    ADD_FAILURE() << "retry_base 0 accepted";
+  } catch (const net::PlanValidationError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "custom: retry_base must be finite and > 0, got 0");
+  }
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <array>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace fortress::sim {
 namespace {
@@ -439,6 +443,272 @@ TEST(PeriodicTimerTest, RestartInsideCallbackFiresOncePerPeriod) {
   timer.stop();
   sim.run_until(20.0);
   EXPECT_EQ(fires.size(), expected.size());
+}
+
+TEST(PeriodicTimerTest, RearmsInPlaceWithAFreshIdEachFire) {
+  // Each fire keeps the slot (no slab allocation) but releases the fired
+  // id: the old id reads as stale, the re-armed one is live. Inside the
+  // callback, cancelling the id of the running fire returns false and
+  // leaves the re-arm intact.
+  Simulator sim;
+  std::vector<EventId> seen;
+  std::vector<bool> own_cancelled;
+  PeriodicTimer timer(sim, 1.0, [&] {
+    own_cancelled.push_back(sim.cancel(seen.back()));
+  });
+  timer.start();
+  for (int i = 0; i < 4; ++i) {
+    seen.push_back(timer.armed_event());
+    sim.run_until(i + 1.5);
+  }
+  EXPECT_EQ(own_cancelled, (std::vector<bool>{false, false, false, false}));
+  EXPECT_EQ(sim.work().slot_allocs, 1u);
+  EXPECT_EQ(sim.work().rearms, 4u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i] >> 32, seen[0] >> 32) << "fire " << i << " moved slot";
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(seen[i], seen[j]);
+    EXPECT_FALSE(sim.cancel(seen[i]));
+  }
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(PeriodicTimerTest, CancellingTheRearmedIdStopsTheFires) {
+  // Another event cancels the timer's re-armed id between fires: nothing
+  // fires again, the id goes stale, and stop() and start() afterwards
+  // behave as for any stale id.
+  Simulator sim;
+  int fires = 0;
+  PeriodicTimer timer(sim, 1.0, [&] { ++fires; });
+  timer.start();
+  sim.schedule_at(2.5, [&] { EXPECT_TRUE(sim.cancel(timer.armed_event())); });
+  sim.run_until(10.0);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.cancel(timer.armed_event()));
+  timer.stop();
+  timer.start();
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(12.5);
+  EXPECT_EQ(fires, 4);  // at 11 and 12
+}
+
+TEST(PeriodicTimerTest, StopInsideCallbackRecyclesTheSlot) {
+  Simulator sim;
+  int fires = 0;
+  PeriodicTimer timer(sim, 1.0, [&] {
+    if (++fires == 2) timer.stop();
+  });
+  timer.start();
+  const EventId first = timer.armed_event();
+  sim.run_until(10.0);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.work().rearms, 1u);
+  // The slot went back to the free list after the final fire.
+  EXPECT_EQ(sim.schedule_at(11.0, [] {}) >> 32, first >> 32);
+}
+
+TEST(PeriodicTimerTest, ResetWhileRearmedTimerIsPending) {
+  // reset() destroys the in-place re-armed event like any pending one: its
+  // id goes stale, nothing fires, and the timer restarts cleanly.
+  for (const SchedulerKind kind : {SchedulerKind::Wheel, SchedulerKind::Heap}) {
+    Simulator sim(kind);
+    std::vector<Time> fires;
+    PeriodicTimer timer(sim, 1.0, [&] { fires.push_back(sim.now()); });
+    timer.start();
+    sim.run_until(3.5);
+    ASSERT_EQ(fires.size(), 3u);
+    const EventId rearmed = timer.armed_event();
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.reset();
+    EXPECT_TRUE(sim.idle());
+    EXPECT_EQ(sim.work().fires, 0u);
+    EXPECT_FALSE(sim.cancel(rearmed));
+    sim.run_until(10.0);
+    EXPECT_EQ(fires.size(), 3u);
+    timer.stop();
+    timer.start();
+    EXPECT_NE(timer.armed_event(), rearmed);
+    sim.run_until(12.5);
+    EXPECT_EQ(fires, (std::vector<Time>{1, 2, 3, 11, 12}));
+  }
+}
+
+TEST(SimulatorTest, PendingCountsLiveEventsAcrossRearmsAndCancels) {
+  for (const SchedulerKind kind : {SchedulerKind::Wheel, SchedulerKind::Heap}) {
+    Simulator sim(kind);
+    PeriodicTimer a(sim, 1.0, [] {});
+    PeriodicTimer b(sim, 0.25, [] {});
+    a.start();
+    b.start();
+    const EventId one = sim.schedule_at(0.6, [] {});
+    const EventId two = sim.schedule_at(500.0, [] {});  // level 2 from 0
+    sim.schedule_at(0.6, [] {});
+    EXPECT_EQ(sim.pending(), 5u);
+    EXPECT_TRUE(sim.cancel(one));
+    EXPECT_EQ(sim.pending(), 4u);
+    sim.run_until(2.1);  // a fired twice, b eight times, one one-shot
+    EXPECT_EQ(sim.pending(), 3u);
+    EXPECT_EQ(sim.work().fires, 11u);
+    EXPECT_EQ(sim.work().rearms, 10u);
+    b.stop();
+    EXPECT_EQ(sim.pending(), 2u);
+    EXPECT_TRUE(sim.cancel(two));
+    EXPECT_EQ(sim.pending(), 1u);
+    a.stop();
+    EXPECT_TRUE(sim.idle());
+  }
+}
+
+TEST(TimerWheelTest, LoneLevelTwoEntryPastRunUntilBound) {
+  // A lone entry of a level-2 bucket runs directly. Past the run_until
+  // bound it must wait — in the bound's own tick, or in a later tick of the
+  // bucket (it then cascades) — and later schedules must still interleave
+  // with it in exact (time, seq) order.
+  for (const SchedulerKind kind : {SchedulerKind::Wheel, SchedulerKind::Heap}) {
+    std::vector<std::pair<Time, int>> trace;
+    Simulator sim(kind);
+    const auto log = [&](int label) {
+      return [&trace, &sim, label] { trace.emplace_back(sim.now(), label); };
+    };
+    // 100.0, 100.0002 and 100.0004 share tick 102400 (level 2 from tick 0).
+    sim.schedule_at(100.0004, log(1));
+    EXPECT_EQ(sim.run_until(50.0), 0u);
+    EXPECT_DOUBLE_EQ(sim.now(), 50.0);
+    EXPECT_EQ(sim.run_until(100.0), 0u);
+    EXPECT_DOUBLE_EQ(sim.now(), 100.0);
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.schedule_at(100.0004, log(2));
+    sim.schedule_at(100.0002, log(3));
+    sim.schedule_at(300.0, log(4));
+    EXPECT_EQ(sim.run_until(200.0), 3u);
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(trace, (std::vector<std::pair<Time, int>>{
+                         {100.0002, 3}, {100.0004, 1}, {100.0004, 2},
+                         {300.0, 4}}));
+
+    // Same level-2 bucket, later tick than the bound's.
+    trace.clear();
+    sim.reset();
+    sim.schedule_at(100.5, log(1));
+    EXPECT_EQ(sim.run_until(100.0), 0u);
+    sim.schedule_at(100.5, log(2));
+    sim.schedule_at(100.2, log(3));
+    EXPECT_EQ(sim.run(), 3u);
+    EXPECT_EQ(trace, (std::vector<std::pair<Time, int>>{
+                         {100.2, 3}, {100.5, 1}, {100.5, 2}}));
+  }
+}
+
+namespace {
+
+using Trace = std::vector<std::pair<Time, std::uint64_t>>;
+
+/// A randomized mixed workload: one-shots at delays spanning the wheel's
+/// levels (and zero, and ties on a coarse grid), periodic timers that
+/// stop, restart and re-arm in place, cancels of live and stale one-shot
+/// and timer ids, run_until and step boundaries (some exactly on event
+/// times) and mid-run resets. Returns the (time, label) trace of every
+/// fire plus the executed and pending counts at each boundary. Handlers
+/// draw from the same Rng, so any divergence in execution order shows in
+/// the trace.
+Trace random_trace(SchedulerKind kind, std::uint64_t seed) {
+  Simulator sim(kind);
+  Rng rng(seed);
+  Trace trace;
+  std::vector<EventId> ids;
+  std::vector<std::unique_ptr<PeriodicTimer>> timers;
+  constexpr std::uint64_t kTimerLabel = 1u << 20;
+  constexpr std::uint64_t kBoundaryLabel = 1u << 21;
+  constexpr std::uint64_t kPendingLabel = 1u << 22;
+  std::uint64_t next_label = 0;
+
+  const auto delay = [&rng]() -> Time {
+    switch (rng.below(5)) {
+      case 0: return 0.0;
+      case 1: return rng.uniform01() * 0.05;   // levels 0-1
+      case 2: return rng.uniform01() * 4.0;    // levels 1-2
+      case 3: return rng.uniform01() * 300.0;  // levels 2-3
+      default: return 0.5 * static_cast<double>(rng.below(8));  // ties
+    }
+  };
+  const auto poke_timer = [&] {
+    PeriodicTimer& t = *timers[rng.below(timers.size())];
+    if (t.running()) {
+      t.stop();
+    } else {
+      t.start();
+    }
+  };
+  std::function<void(int)> schedule_one = [&](int depth) {
+    const std::uint64_t label = next_label++;
+    ids.push_back(sim.schedule_after(delay(), [&, label, depth] {
+      trace.emplace_back(sim.now(), label);
+      if (depth < 3 && rng.below(3) == 0) schedule_one(depth + 1);
+      if (rng.below(4) == 0) sim.cancel(ids[rng.below(ids.size())]);
+      if (rng.below(6) == 0) poke_timer();
+    }));
+  };
+  const Time periods[] = {0.01, 0.25, 1.0, 3.7, 40.0, 0.5};
+  for (std::size_t i = 0; i < std::size(periods); ++i) {
+    timers.push_back(std::make_unique<PeriodicTimer>(sim, periods[i], [&, i] {
+      trace.emplace_back(sim.now(), kTimerLabel + i);
+      PeriodicTimer& self = *timers[i];
+      switch (rng.below(12)) {
+        case 0: self.stop(); break;
+        case 1: self.stop(); self.start(); break;  // the fresh arm wins
+        case 2: schedule_one(1); break;
+        default: break;
+      }
+    }));
+  }
+  for (auto& t : timers) t->start_after(delay());
+
+  for (int round = 0; round < 60; ++round) {
+    const std::uint64_t births = rng.below(8);
+    for (std::uint64_t i = 0; i < births; ++i) schedule_one(0);
+    if (rng.below(5) == 0 && !ids.empty()) {
+      sim.cancel(ids[rng.below(ids.size())]);
+    }
+    if (rng.below(4) == 0) poke_timer();
+    // A timer's armed id: a later cancel may hit it live (re-armed in
+    // place) or stale (it fired since).
+    ids.push_back(timers[rng.below(timers.size())]->armed_event());
+    std::uint64_t executed = 0;
+    if (rng.below(6) == 0) {
+      executed = sim.step() ? 1 : 0;
+    } else {
+      executed = sim.run_until(sim.now() + delay());
+    }
+    trace.emplace_back(sim.now(), kBoundaryLabel + executed);
+    trace.emplace_back(sim.now(), kPendingLabel + sim.pending());
+    if (rng.below(12) == 0) {
+      sim.reset();
+      ids.clear();
+      for (auto& t : timers) {
+        t->stop();
+        if (rng.below(2) == 0) t->start_after(delay());
+      }
+    }
+  }
+  const std::uint64_t last = sim.run_until(sim.now() + 100.0);
+  trace.emplace_back(sim.now(), kBoundaryLabel + last);
+  for (auto& t : timers) t->stop();
+  return trace;
+}
+
+}  // namespace
+
+TEST(TimerWheelTest, RandomizedWheelMatchesHeapTrace) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const Trace wheel = random_trace(SchedulerKind::Wheel, seed);
+    const Trace heap = random_trace(SchedulerKind::Heap, seed);
+    ASSERT_GT(wheel.size(), 200u) << "seed " << seed;
+    ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < wheel.size(); ++i) {
+      ASSERT_EQ(wheel[i], heap[i]) << "seed " << seed << ", entry " << i;
+    }
+  }
 }
 
 TEST(PeriodicTimerTest, ZeroPeriodViolatesContract) {

@@ -6,11 +6,16 @@
 //       merges the sidecars (exactly-once coverage + spec-digest agreement)
 //       and writes the merged result report (stdout when --out is omitted).
 //   campaign_driver shard --spec F --shard I --shards N [--out F]
-//       run ONE shard in this process and write its sidecar — the building
-//       block for running shards on separate machines; ship the sidecars
-//       back and `merge` them.
-//   campaign_driver merge --out F <shard.json>...
-//       merge previously written sidecars into the result report.
+//       run ONE shard in this process and write its sidecar (default
+//       ./shard-<I>.json) — the building block for running shards on
+//       separate machines; ship the sidecars back and `merge` them.
+//   campaign_driver merge [--out F] <shard.json>...
+//       merge previously written sidecars into the result report (stdout
+//       when --out is omitted).
+//
+// Each subcommand takes only the options listed for it: any other option,
+// or a positional argument outside `merge`, is an error, so a misplaced
+// option stops the driver instead of being ignored.
 //
 // Bit-identity contract (pinned by tools/shard_check.py in the ctest lane):
 // for a spec with work_stealing off, `run --shards N` produces a merged
@@ -27,12 +32,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_args.hpp"
@@ -74,28 +82,34 @@ struct Options {
   std::vector<std::string> inputs;  ///< positional args (merge's sidecars)
 };
 
-Options parse_options(const std::vector<std::string>& args) {
+/// Parse `args` for a subcommand that takes the options in `allowed` (and
+/// positional arguments only when `positional` is set).
+Options parse_options(const std::string& cmd,
+                      const std::vector<std::string>& args,
+                      std::initializer_list<std::string_view> allowed,
+                      bool positional) {
   Options o;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::runtime_error(a + " needs an argument");
-      }
-      return args[++i];
-    };
-    if (a == "--spec") o.spec_path = next();
-    else if (a == "--out") o.out_path = next();
-    else if (a == "--out-dir") o.out_dir = next();
-    else if (a == "--shard")
-      o.shard = tools::parse_unsigned<std::uint32_t>(a, next());
-    else if (a == "--shards")
-      o.n_shards = tools::parse_unsigned<std::uint32_t>(a, next());
-    else if (!a.empty() && a[0] == '-') {
-      throw std::runtime_error("unknown option " + a);
-    } else {
+    if (a.empty() || a[0] != '-') {
+      if (!positional) throw std::runtime_error("unexpected argument " + a);
       o.inputs.push_back(a);
+      continue;
     }
+    if (std::find(allowed.begin(), allowed.end(), a) == allowed.end()) {
+      throw std::runtime_error(cmd + " does not take option " + a);
+    }
+    if (i + 1 >= args.size()) {
+      throw std::runtime_error(a + " needs an argument");
+    }
+    const std::string& value = args[++i];
+    if (a == "--spec") o.spec_path = value;
+    else if (a == "--out") o.out_path = value;
+    else if (a == "--out-dir") o.out_dir = value;
+    else if (a == "--shard")
+      o.shard = tools::parse_unsigned<std::uint32_t>(a, value);
+    else if (a == "--shards")
+      o.n_shards = tools::parse_unsigned<std::uint32_t>(a, value);
   }
   return o;
 }
@@ -217,10 +231,17 @@ int main(int argc, char** argv) {
   const std::string cmd = args[0];
   args.erase(args.begin());
   try {
-    const Options o = parse_options(args);
-    if (cmd == "run") return cmd_run(o);
-    if (cmd == "shard") return cmd_shard(o);
-    if (cmd == "merge") return cmd_merge(o);
+    if (cmd == "run") {
+      return cmd_run(parse_options(
+          cmd, args, {"--spec", "--shards", "--out-dir", "--out"}, false));
+    }
+    if (cmd == "shard") {
+      return cmd_shard(parse_options(
+          cmd, args, {"--spec", "--shard", "--shards", "--out"}, false));
+    }
+    if (cmd == "merge") {
+      return cmd_merge(parse_options(cmd, args, {"--out"}, true));
+    }
   } catch (const std::exception& e) {
     std::cerr << "campaign_driver " << cmd << ": " << e.what() << "\n";
     return 1;

@@ -28,6 +28,13 @@ wrapping or truncating parser would turn into a valid-looking shard) must
 exit non-zero and leave no sidecar behind. `shard` rather than `run`, so a
 driver that accepts the value runs one small shard instead of forking.
 
+Each subcommand must reject an option it does not take (and `run`/`shard`
+a positional argument) with a non-zero exit and nothing written, and the
+README's commands must work as documented: `run --out-dir D` without
+--out prints the merged report, and `shard --out` per shard followed by
+`merge --out F <sidecars>` reproduces the `run --shards 1` report byte for
+byte.
+
 Sidecars and reports are written to `<path>.tmp` and renamed over the
 target, so no `*.tmp` file may be left after `run` or `shard`, and a write
 that fails (here: `<path>.tmp` pre-created as a directory) must exit
@@ -120,6 +127,83 @@ def check_rejects_bad_args(driver: str, spec: pathlib.Path) -> int:
     return failures
 
 
+# Invocations the driver must reject: options a subcommand does not take
+# and stray positional arguments. {spec} and {dir} are filled in per case.
+BAD_INVOCATIONS = [
+    ["shard", "--spec", "{spec}", "--shard", "0", "--shards", "2",
+     "--out-dir", "{dir}"],
+    ["run", "--spec", "{spec}", "--shards", "1", "--out-dir", "{dir}",
+     "--shard", "0"],
+    ["run", "--spec", "{spec}", "--shards", "1", "--out-dir", "{dir}",
+     "extra.json"],
+    ["merge", "--spec", "{spec}", "--shards", "2", "--out-dir", "{dir}",
+     "--out", "{dir}/merged.json"],
+    ["merge", "--shards", "2", "{dir}/shard-0.json"],
+]
+
+
+def check_rejects_misplaced_options(driver: str, spec: pathlib.Path) -> int:
+    driver = str(pathlib.Path(driver).resolve())
+    spec = spec.resolve()
+    failures = 0
+    for case in BAD_INVOCATIONS:
+        with tempfile.TemporaryDirectory(prefix="shard_check.") as tmp:
+            args = [a.format(spec=spec, dir=tmp) for a in case]
+            proc = subprocess.run([driver] + args, cwd=tmp,
+                                  capture_output=True)
+            left = sorted(p.name for p in pathlib.Path(tmp).iterdir())
+        label = " ".join(case)
+        if proc.returncode == 0 or left:
+            print(f"FAIL {label}: exit {proc.returncode}, left {left}",
+                  file=sys.stderr)
+            failures += 1
+        else:
+            print(f"OK   {label} rejected")
+    return failures
+
+
+def check_documented_commands(driver: str, spec: pathlib.Path,
+                              want: bytes) -> int:
+    """The README's run / shard / merge commands reproduce `want`."""
+    with tempfile.TemporaryDirectory(prefix="shard_check.") as tmp:
+        workdir = pathlib.Path(tmp)
+        out = workdir / "out"
+        out.mkdir()
+        try:
+            printed = subprocess.run(
+                [driver, "run", "--spec", str(spec), "--shards", "2",
+                 "--out-dir", str(out)],
+                check=True, capture_output=True).stdout
+            sidecars = []
+            for shard in range(2):
+                sidecar = out / f"phase-{shard}.json"
+                subprocess.run(
+                    [driver, "shard", "--spec", str(spec), "--shard",
+                     str(shard), "--shards", "2", "--out", str(sidecar)],
+                    check=True)
+                sidecars.append(str(sidecar))
+            merged = workdir / "merged.json"
+            subprocess.run(
+                [driver, "merge", "--out", str(merged)] + sidecars,
+                check=True)
+            check_no_tmp(spec, workdir)
+        except (subprocess.CalledProcessError, RuntimeError) as e:
+            print(f"FAIL documented commands: {e}", file=sys.stderr)
+            return 1
+        failures = 0
+        if printed != want:
+            print("FAIL run without --out: stdout differs from the merged "
+                  "report", file=sys.stderr)
+            failures += 1
+        if merged.read_bytes() != want:
+            print("FAIL shard + merge: report differs from run --shards 1",
+                  file=sys.stderr)
+            failures += 1
+    if failures == 0:
+        print("OK   documented run / shard / merge commands")
+    return failures
+
+
 def fnv1a64(data: bytes) -> int:
     h = 14695981039346656037
     for b in data:
@@ -148,6 +232,7 @@ def main() -> int:
         return 1
 
     failures = 0
+    first_report = None
     for spec in specs:
         with tempfile.TemporaryDirectory(prefix="shard_check.") as tmp:
             workdir = pathlib.Path(tmp)
@@ -158,6 +243,8 @@ def main() -> int:
                 print(f"FAIL {spec.name}: {e}", file=sys.stderr)
                 failures += 1
                 continue
+        if spec == specs[0]:
+            first_report = one
         try:
             want = report_pin(spec)
         except OSError as e:
@@ -178,6 +265,10 @@ def main() -> int:
         else:
             print(f"OK   {spec.name}")
     failures += check_rejects_bad_args(args.driver, specs[0])
+    failures += check_rejects_misplaced_options(args.driver, specs[0])
+    if first_report is not None:
+        failures += check_documented_commands(args.driver, specs[0],
+                                              first_report)
     failures += check_atomic_shard_write(args.driver, specs[0])
     return 0 if failures == 0 else 1
 
