@@ -1,12 +1,16 @@
 // bench_micro — E12: google-benchmark microbenchmarks for the computational
 // kernels: SHA-256, HMAC, message codec, Markov-chain solving, Monte-Carlo
-// trial rates and the discrete-event simulator core.
+// trial rates, the discrete-event simulator core and the exec pool's job
+// hand-off.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/markov.hpp"
 #include "bench_util.hpp"
@@ -15,6 +19,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_kernel.hpp"
+#include "exec/thread_pool.hpp"
 #include "model/lifetime_sim.hpp"
 #include "montecarlo/engine.hpp"
 #include "replication/message.hpp"
@@ -196,6 +201,58 @@ void BM_RngGeometric(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngGeometric);
+
+void BM_PoolDispatch(benchmark::State& state) {
+  // Round trip of an empty 4-chunk job at parallelism 4 on the shared pool:
+  // publish, wake the three invited workers, drain, wait for them. Pure
+  // hand-off cost; back-to-back jobs wake workers that have just parked.
+  exec::ThreadPool& pool = exec::ThreadPool::shared();
+  const auto noop = [](std::uint64_t, std::uint64_t, std::uint64_t) {};
+  for (auto _ : state) pool.parallel_chunks(4, 1, 4, noop);
+}
+BENCHMARK(BM_PoolDispatch);
+
+void BM_PoolAllJoined(benchmark::State& state) {
+  // 64 chunks of 2 us busy work at parallelism 4: a job short enough that
+  // slow wake-ups leave it to fewer threads. Counters: the share of jobs
+  // all 4 slots ran chunks of, and the median time from the call until the
+  // 4th slot ran its first chunk over those jobs.
+  using Clock = std::chrono::steady_clock;
+  exec::ThreadPool& pool = exec::ThreadPool::shared();
+  std::vector<double> join_us;
+  std::int64_t jobs = 0;
+  for (auto _ : state) {
+    std::atomic<unsigned> entered_mask{0};
+    std::atomic<std::int64_t> all_in_ns{-1};
+    const Clock::time_point start = Clock::now();
+    pool.parallel_chunks(
+        64, 1, 4, [&](std::uint64_t, std::uint64_t, std::uint64_t) {
+          const unsigned bit = 1u << (exec::ThreadPool::current_slot() & 31);
+          const unsigned before = entered_mask.fetch_or(bit);
+          if ((before & bit) == 0 && (before | bit) == 0xFu) {
+            all_in_ns.store(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now() - start)
+                    .count());
+          }
+          const Clock::time_point until =
+              Clock::now() + std::chrono::microseconds(2);
+          while (Clock::now() < until) {
+          }
+        });
+    ++jobs;
+    if (all_in_ns.load() >= 0) join_us.push_back(all_in_ns.load() / 1e3);
+  }
+  state.counters["all_joined_frac"] =
+      static_cast<double>(join_us.size()) / static_cast<double>(jobs);
+  if (!join_us.empty()) {
+    const auto mid =
+        join_us.begin() + static_cast<std::ptrdiff_t>(join_us.size() / 2);
+    std::nth_element(join_us.begin(), mid, join_us.end());
+    state.counters["join_us_p50"] = *mid;
+  }
+}
+BENCHMARK(BM_PoolAllJoined);
 
 template <typename Fn>
 double time_ns(int iters, Fn&& fn) {

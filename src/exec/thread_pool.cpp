@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -21,38 +23,58 @@ thread_local bool t_in_chunk_job = false;
 // Slot index of this thread: 0 for non-workers (every caller thread), i+1
 // for persistent worker i. Assigned once at worker spawn.
 thread_local unsigned t_worker_slot = 0;
+
+// Waits until done(word) holds and returns the value that satisfied it,
+// parking on the word with std::atomic::wait until a store and notify
+// change it.
+template <typename Done>
+std::uint32_t await_word(const std::atomic<std::uint32_t>& word, Done done) {
+  std::uint32_t v = word.load(std::memory_order_acquire);
+  while (!done(v)) {
+    word.wait(v, std::memory_order_acquire);
+    v = word.load(std::memory_order_acquire);
+  }
+  return v;
+}
 }  // namespace
 
 struct ThreadPool::Impl {
   using ChunkFn = std::function<void(std::uint64_t, std::uint64_t,
                                      std::uint64_t)>;
 
+  // One worker's wake-up word, alone on its cache line so a store to it
+  // touches no other worker's line. The caller bumps it to invite the
+  // worker to the current job (or to shut down).
+  struct alignas(64) WakeWord {
+    std::atomic<std::uint32_t> go{0};
+  };
+
   // One job at a time: concurrent parallel_chunks callers serialize here.
   std::mutex job_m;
 
-  // Job state is published under `m` and identified by `generation` so
-  // parked workers can tell a new job from a spurious wake.
-  std::mutex m;
-  std::condition_variable job_ready;
-  std::condition_variable job_done;
-  std::uint64_t generation = 0;
-  bool shutting_down = false;
-
-  // Current job (valid while `active_workers` > 0 or tickets remain).
+  // Current job. Written by the caller before it bumps the invited workers'
+  // words (release) and read by those workers after they see the bump
+  // (acquire), so plain fields suffice.
   const ChunkFn* fn = nullptr;
   std::uint64_t total = 0;
   std::uint64_t chunk_size = 0;
   std::uint64_t n_chunks = 0;
-  unsigned parallelism = 0;           // max workers allowed to join
-  unsigned joined = 0;                // workers that joined this job
-  unsigned running = 0;               // workers currently inside drain()
-  std::atomic<std::uint64_t> ticket{0};
-  std::exception_ptr first_error;
+  bool shutting_down = false;
 
+  // Hot atomics, each on its own cache line: the chunk ticket every thread
+  // of the job hammers, and the countdown of invited workers still inside
+  // drain() that the caller waits on.
+  alignas(64) std::atomic<std::uint64_t> ticket{0};
+  alignas(64) std::atomic<std::uint32_t> running{0};
+
+  std::mutex error_m;
+  std::exception_ptr first_error;  // guarded by error_m
+
+  std::unique_ptr<WakeWord[]> words;
   std::vector<std::thread> threads;
 
   // Claim chunks until the grid is exhausted. Called concurrently by the
-  // caller thread and any joined workers.
+  // caller thread and the invited workers.
   void drain() {
     struct FlagGuard {
       ~FlagGuard() { t_in_chunk_job = false; }
@@ -67,7 +89,7 @@ struct ThreadPool::Impl {
       try {
         (*fn)(c, begin, end);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(m);
+        std::lock_guard<std::mutex> lock(error_m);
         if (!first_error) first_error = std::current_exception();
         // Keep draining tickets so the job terminates promptly: claim the
         // rest without running fn.
@@ -77,24 +99,16 @@ struct ThreadPool::Impl {
     }
   }
 
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(m);
+  void worker_loop(unsigned index) {
+    const std::atomic<std::uint32_t>& go = words[index].go;
+    std::uint32_t seen = 0;
     while (true) {
-      job_ready.wait(lock, [&] {
-        return shutting_down || (generation != seen && joined < parallelism &&
-                                 ticket.load(std::memory_order_relaxed) <
-                                     n_chunks);
-      });
+      seen = await_word(go, [seen](std::uint32_t v) { return v != seen; });
       if (shutting_down) return;
-      seen = generation;
-      ++joined;
-      ++running;
-      lock.unlock();
       drain();
-      lock.lock();
-      --running;
-      if (running == 0) job_done.notify_all();
+      if (running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        running.notify_one();
+      }
     }
   }
 };
@@ -108,11 +122,12 @@ ThreadPool::ThreadPool(unsigned threads) : impl_(new Impl) {
   // give `threads + 1`-way parallelism; spawn one fewer than requested and
   // never fewer than zero.
   unsigned spawned = threads > 1 ? threads - 1 : 0;
+  impl_->words = std::make_unique<Impl::WakeWord[]>(spawned);
   impl_->threads.reserve(spawned);
   for (unsigned i = 0; i < spawned; ++i) {
     impl_->threads.emplace_back([this, i] {
       t_worker_slot = i + 1;
-      impl_->worker_loop();
+      impl_->worker_loop(i);
     });
   }
   n_workers_ = spawned;
@@ -122,18 +137,23 @@ unsigned ThreadPool::current_slot() { return t_worker_slot; }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(impl_->m);
+    // No job can be in flight once job_m is ours; the flag is published to
+    // each worker by the release bump of its word.
+    std::lock_guard<std::mutex> job_lock(impl_->job_m);
     impl_->shutting_down = true;
+    for (unsigned i = 0; i < n_workers_; ++i) {
+      impl_->words[i].go.fetch_add(1, std::memory_order_release);
+      impl_->words[i].go.notify_one();
+    }
   }
-  impl_->job_ready.notify_all();
   for (auto& t : impl_->threads) t.join();
   delete impl_;
 }
 
 ThreadPool& ThreadPool::shared() {
   // At least 8-way so callers requesting a fixed thread count (tests pin
-  // 1/3/8) get real cross-thread scheduling even on small machines; parked
-  // workers cost nothing between jobs.
+  // 1/3/8) get real cross-thread scheduling even on small machines; workers
+  // a job does not invite stay parked and cost nothing.
   static ThreadPool pool(std::max(std::thread::hardware_concurrency(), 8u));
   return pool;
 }
@@ -162,31 +182,29 @@ void ThreadPool::parallel_chunks(
   }
 
   std::lock_guard<std::mutex> job_lock(impl_->job_m);
-  {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    impl_->fn = &fn;
-    impl_->total = total;
-    impl_->chunk_size = chunk_size;
-    impl_->n_chunks = n_chunks;
-    impl_->parallelism = parallelism - 1;  // caller takes one slot
-    impl_->joined = 0;
-    impl_->ticket.store(0, std::memory_order_relaxed);
-    impl_->first_error = nullptr;
-    ++impl_->generation;
+  // Invite exactly the lowest workers the job can use: slots 1..k, beside
+  // the caller's slot 0. The rest are never woken.
+  const auto invited = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>({parallelism - 1, size(), n_chunks - 1}));
+  impl_->fn = &fn;
+  impl_->total = total;
+  impl_->chunk_size = chunk_size;
+  impl_->n_chunks = n_chunks;
+  impl_->ticket.store(0, std::memory_order_relaxed);
+  impl_->running.store(invited, std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < invited; ++i) {
+    impl_->words[i].go.fetch_add(1, std::memory_order_release);
+    impl_->words[i].go.notify_one();
   }
-  impl_->job_ready.notify_all();
 
   impl_->drain();  // caller works too
 
-  std::unique_lock<std::mutex> lock(impl_->m);
-  impl_->job_done.wait(lock, [&] { return impl_->running == 0; });
-  // Invalidate the job so late-waking workers re-check against an exhausted
-  // ticket and go back to sleep.
-  impl_->fn = nullptr;
-  impl_->n_chunks = 0;
-  std::exception_ptr err = impl_->first_error;
-  impl_->first_error = nullptr;
-  lock.unlock();
+  await_word(impl_->running, [](std::uint32_t v) { return v == 0; });
+  std::exception_ptr err;
+  {
+    std::lock_guard<std::mutex> lock(impl_->error_m);
+    err = std::exchange(impl_->first_error, nullptr);
+  }
   if (err) std::rethrow_exception(err);
 }
 

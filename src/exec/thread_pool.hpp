@@ -5,7 +5,13 @@
 //
 //  1. No thread churn: a run of many estimate_lifetime calls (a bench sweep)
 //     must not pay thread creation/teardown per call. Workers are created
-//     once and parked on a condition variable between jobs.
+//     once. A job of parallelism p invites exactly the lowest
+//     k = min(p-1, size(), chunks-1) workers (slots 1..k), each woken through
+//     its own cache-line-aligned atomic word (store + notify_one); the other
+//     workers never wake. So the same threads, and the same malloc arenas,
+//     serve job after job. Workers park on their word with
+//     std::atomic::wait; the caller waits the same way on an atomic
+//     countdown of running workers.
 //
 //  2. Dynamic load balancing: lifetime-trial lengths are heavy-tailed, so a
 //     static partition of the trial range stalls entire shards behind one
@@ -62,8 +68,11 @@ class ThreadPool {
   /// chunks of `chunk_size` (the last chunk may be short). At most
   /// `parallelism` threads run fn concurrently (0 = no cap); the calling
   /// thread always participates, so parallelism == 1 runs everything inline
-  /// in chunk order. The first exception thrown by fn is rethrown on the
-  /// caller after all workers drain.
+  /// in chunk order. A job that goes to the pool runs on the lowest slots
+  /// only: 0 (the caller) and 1..k, k = min(parallelism-1, size(), chunks-1),
+  /// so per-slot state sized by the parallelism covers it. The first
+  /// exception thrown by fn is rethrown on the caller after all workers
+  /// drain.
   void parallel_chunks(
       std::uint64_t total, std::uint64_t chunk_size, unsigned parallelism,
       const std::function<void(std::uint64_t chunk_index, std::uint64_t begin,
@@ -77,7 +86,7 @@ class ThreadPool {
 
  private:
   struct Impl;
-  Impl* impl_;  // pimpl: keeps <mutex>/<condition_variable> out of the header
+  Impl* impl_;  // pimpl: keeps <atomic>/<mutex>/<thread> out of the header
   unsigned n_workers_ = 0;
 };
 

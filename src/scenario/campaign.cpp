@@ -351,17 +351,17 @@ CampaignResult run_campaign_subset(
   // One arena per worker slot of the process-wide SHARED pool (the arena
   // vector itself is per-campaign-call): a slot is owned by at most one
   // thread at a time within this pool's jobs (jobs serialize), so indexing
-  // by ThreadPool::current_slot is race-free. The bounds check in the task
-  // body is load-bearing, not paranoia — a worker of a larger foreign pool
-  // (a nested campaign inside someone else's parallel_chunks) reports ITS
-  // OWN slot, which can be >= this vector's size; such threads fall back to
-  // fresh per-trial stacks, with identical outcomes.
+  // by ThreadPool::current_slot is race-free. Each arena is built on its own
+  // slot's thread at that slot's first trial, so its world lives in that
+  // thread's malloc arena, and slots a job never runs on get none. The
+  // bounds check in the task body is load-bearing, not paranoia — a worker
+  // of a larger foreign pool (a nested campaign inside someone else's
+  // parallel_chunks) reports ITS OWN slot, which can be >= this vector's
+  // size; such threads fall back to fresh per-trial stacks, with identical
+  // outcomes.
   exec::ThreadPool& pool = exec::ThreadPool::shared();
   std::vector<std::unique_ptr<TrialArena>> arenas;
-  if (config.reuse_trial_stacks) {
-    arenas.resize(pool.slot_count());
-    for (auto& a : arenas) a = std::make_unique<TrialArena>(config.scheduler);
-  }
+  if (config.reuse_trial_stacks) arenas.resize(pool.slot_count());
 
   struct Task {
     std::uint32_t cell;
@@ -454,10 +454,13 @@ CampaignResult run_campaign_subset(
           // Foreign-pool workers (slot >= arenas.size()) take the
           // fresh-stack path — see the arena-vector comment above.
           const unsigned slot = exec::ThreadPool::current_slot();
-          TrialArena* arena =
-              config.reuse_trial_stacks && slot < arenas.size()
-                  ? arenas[slot].get()
-                  : nullptr;
+          TrialArena* arena = nullptr;
+          if (slot < arenas.size()) {
+            if (!arenas[slot]) {
+              arenas[slot] = std::make_unique<TrialArena>(config.scheduler);
+            }
+            arena = arenas[slot].get();
+          }
           for (std::uint64_t t = begin; t < end; ++t) {
             const Task& task = tasks[t];
             const CampaignCell& cell = cells[task.cell];

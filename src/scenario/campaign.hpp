@@ -308,7 +308,7 @@ std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell,
 /// run() returns TrialOutcomes bit-identical to the free run_trial() for
 /// every (system, plan, seed) — pooling is a pure setup-cost optimization
 /// (tested). Not thread-safe; campaigns key one arena per pool worker slot
-/// (exec::ThreadPool::current_slot).
+/// (exec::ThreadPool::current_slot), built lazily on that slot's thread.
 class TrialArena {
  public:
   TrialArena();  // out of line: members only forward-declare LiveSystem

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -164,6 +166,105 @@ TEST(ThreadPoolTest, CurrentSlotIsStableAndDisjointPerThread) {
     // Disjoint: no two threads share a slot.
     EXPECT_TRUE(all_slots.insert(slot).second);
   }
+}
+
+// Runs one job of `parallelism` over exactly `parallelism` chunks whose
+// bodies wait (bounded) until that many distinct slots have entered, and
+// returns the slots that ran it. On a pool that wakes the lowest workers
+// the set is {0, .., parallelism-1}. `body(slot)` runs in every chunk once
+// all have met, so a test can throw from a chosen slot.
+template <typename Body>
+std::set<unsigned> rendezvous_slots(ThreadPool& pool, unsigned parallelism,
+                                    Body body) {
+  std::mutex m;
+  std::condition_variable all_in;
+  std::set<unsigned> slots;
+  auto chunk = [&](std::uint64_t, std::uint64_t, std::uint64_t) {
+    const unsigned slot = ThreadPool::current_slot();
+    {
+      std::unique_lock<std::mutex> lock(m);
+      slots.insert(slot);
+      all_in.notify_all();
+      all_in.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return slots.size() >= parallelism; });
+    }
+    body(slot);
+  };
+  pool.parallel_chunks(parallelism, 1, parallelism, chunk);
+  return slots;
+}
+
+TEST(ThreadPoolTest, JobRunsOnLowestSlots) {
+  // A job of parallelism p runs on slots 0..p-1 — the same threads job
+  // after job — so per-slot state sized by p covers every thread of it and
+  // the other workers stay parked.
+  ThreadPool pool(8);
+  const std::set<unsigned> want = {0, 1, 2, 3};
+  for (int job = 0; job < 200; ++job) {
+    ASSERT_EQ(rendezvous_slots(pool, 4, [](unsigned) {}), want)
+        << "job " << job;
+  }
+}
+
+TEST(ThreadPoolTest, ManyShortJobsBackToBack) {
+  // Lost-wakeup guard for the wake-word hand-off: jobs follow each other
+  // with no gap (workers still finishing the last job or about to park) and
+  // with gaps of 0-150 us (workers parked or parking).
+  ThreadPool pool(4);
+  for (const bool gaps : {false, true}) {
+    for (int job = 0; job < 20000; ++job) {
+      std::atomic<int> hits[4] = {0, 0, 0, 0};
+      pool.parallel_chunks(4, 1, 0, [&](std::uint64_t c, std::uint64_t,
+                                        std::uint64_t) {
+        hits[c].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (int c = 0; c < 4; ++c) {
+        ASSERT_EQ(hits[c].load(), 1) << "gaps " << gaps << " job " << job;
+      }
+      if (gaps) {
+        const auto gap = std::chrono::microseconds((job % 4) * 50);
+        const auto until = std::chrono::steady_clock::now() + gap;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, DestroyWhileWorkersSpinOrPark) {
+  for (int round = 0; round < 50; ++round) {
+    {
+      ThreadPool pool(4);  // never used: workers parked or not yet waiting
+    }
+    {
+      ThreadPool pool(4);  // destroyed right after a job: workers parking
+      std::atomic<int> count{0};
+      pool.parallel_chunks(16, 1, 0, [&](std::uint64_t, std::uint64_t,
+                                         std::uint64_t) {
+        count.fetch_add(1, std::memory_order_relaxed);
+      });
+      ASSERT_EQ(count.load(), 16);
+    }
+  }
+  ThreadPool pool(4);  // destroyed while idle: workers parked
+  pool.parallel_chunks(8, 1, 0,
+                       [](std::uint64_t, std::uint64_t, std::uint64_t) {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+}
+
+TEST(ThreadPoolTest, WorkerSlotExceptionReachesCallerAndPoolRecovers) {
+  ThreadPool pool(8);
+  EXPECT_THROW(rendezvous_slots(pool, 4,
+                                [](unsigned slot) {
+                                  if (slot == 2) {
+                                    throw std::runtime_error("worker boom");
+                                  }
+                                }),
+               std::runtime_error);
+  const std::set<unsigned> want = {0, 1, 2, 3};
+  EXPECT_EQ(rendezvous_slots(pool, 4, [](unsigned) {}), want);
+  const std::set<unsigned> want2 = {0, 1};
+  EXPECT_EQ(rendezvous_slots(pool, 2, [](unsigned) {}), want2);
 }
 
 TEST(ThreadPoolTest, SharedPoolSupportsEightWayRequests) {
