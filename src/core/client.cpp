@@ -136,9 +136,8 @@ bool Client::acceptable(const MessageView& msg, Outstanding& out) {
         std::find(directory_.proxies.begin(), directory_.proxies.end(),
                   msg.over_signature()->signer) != directory_.proxies.end();
     if (!proxy_known) return false;
-    // Both HMACs (inner + over-signature) run through one 2-lane batch
-    // flush of the multi-buffer kernel; acceptance is identical to the
-    // sequential verify_message && verify_over_signature pair.
+    // The inner signature, then the over-signature, each through the one
+    // verify path (KeyRegistry::verify_tag).
     return replication::verify_double_signature(msg, registry_);
   }
 

@@ -54,7 +54,6 @@ std::uint32_t ClientPopulation::cohort_end(std::size_t k) const {
 
 void ClientPopulation::build(sim::Time horizon, std::uint64_t seed) {
   FORTRESS_EXPECTS(spec_.enabled());
-  spec_.validate();
   FORTRESS_EXPECTS(directory_.fortified() || !directory_.server_addrs.empty());
   horizon_ = horizon;
 

@@ -72,6 +72,9 @@ class ClientPopulation final : public net::Handler {
   /// Builds the population table for `spec.clients` clients, attaches one
   /// network address per cohort ("pop-c<k>") and schedules the staggered
   /// cohort ticks. Ticks at or past `horizon` are never scheduled.
+  /// Precondition (here and in reset): `spec` is valid — it is not
+  /// re-checked; the trial driver passes a plan NetworkConfig::from_plan
+  /// has already validated.
   ClientPopulation(sim::Simulator& sim, net::Network& network,
                    const crypto::KeyRegistry& registry, Directory directory,
                    const net::PopulationSpec& spec, sim::Time horizon,

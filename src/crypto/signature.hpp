@@ -119,13 +119,11 @@ class KeyRegistry {
   /// acceptance as verify()/verify_with() without materializing a
   /// Signature. `tag` must be Digest-sized (anything else never verifies).
   ///
-  /// BATCHING NOTE: verify_tag_with is the one verify path. Its MAC goes
-  /// through HmacKey::mac, so a tag the same thread has just signed is
-  /// checked against the memoized MAC instead of being recomputed (exact
-  /// match only — see hmac.hpp). crypto::BatchVerifier stages jobs and
-  /// computes their verdicts through this same function, so staging
-  /// changes only when a MAC is computed, never which (message, signer,
-  /// tag) triples are accepted (see batch.hpp).
+  /// verify_tag_with is the one verify path; protocol handlers call it
+  /// once per message, at dispatch. Its MAC goes through HmacKey::mac, so
+  /// a tag the same thread has just signed is checked against the
+  /// memoized MAC instead of being recomputed (exact match only — see
+  /// hmac.hpp).
   bool verify_tag(BytesView message, std::string_view signer,
                   BytesView tag) const;
   static bool verify_tag_with(const HmacKey& schedule, BytesView message,

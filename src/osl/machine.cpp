@@ -214,17 +214,6 @@ void Machine::enqueue_service(const net::Envelope& env, ServiceClass cls) {
 void Machine::push_service(QueuedMessage&& qm) {
   qm.degraded = service_.policy == net::OverloadPolicy::DegradeUnsigned &&
                 service_depth() >= service_.degrade_watermark;
-  if (!qm.degraded && app_ != nullptr) {
-    // Stage the application's signature check while the message waits in
-    // queue; the verdict is handed back at dispatch. Degraded admissions
-    // skip verification entirely, so there is nothing to stage.
-    net::Envelope staged{qm.from, id_, BytesView(qm.payload),
-                         qm.connection, false, {}};
-    qm.verify_job = app_->stage_verify(staged, verify_batch_);
-    if (verify_batch_.pending() >= crypto::BatchVerifier::kLanes) {
-      verify_batch_.flush();
-    }
-  }
   service_queue_.push_back(std::move(qm));
   ++overload_stats_.enqueued;
   overload_stats_.max_depth =
@@ -276,23 +265,13 @@ void Machine::finish_service() {
   service_event_ = 0;
   net::Envelope env{in_service_msg_.from, id_,
                     BytesView(in_service_msg_.payload),
-                    in_service_msg_.connection, in_service_msg_.degraded, {}};
-  if (in_service_msg_.verify_job) {
-    // verdict() flushes a partial lane group lazily, so the head of a
-    // short burst never waits for lanes that will not fill.
-    env.staged_verdict = verify_batch_.verdict(*in_service_msg_.verify_job);
-  }
+                    in_service_msg_.connection, in_service_msg_.degraded};
   ++overload_stats_.served;
   if (env.degraded) ++overload_stats_.degraded;
   if (app_ != nullptr) app_->handle_message(env);
   network_.recycle_buffer(std::move(in_service_msg_.payload));
   in_service_ = false;
-  if (!service_queue_.empty()) {
-    begin_service();
-  } else {
-    // Queue drained: no queued message references a batch job any more.
-    verify_batch_.clear();
-  }
+  if (!service_queue_.empty()) begin_service();
 }
 
 void Machine::clear_service_queue() {
@@ -311,7 +290,6 @@ void Machine::clear_service_queue() {
     network_.recycle_buffer(std::move(qm.payload));
   }
   service_queue_.clear();
-  verify_batch_.clear();
 }
 
 void Machine::on_connection_opened(net::ConnectionId id, net::HostId peer) {

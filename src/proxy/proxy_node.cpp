@@ -103,17 +103,6 @@ void ProxyNode::handle_message(const net::Envelope& env) {
   }
 }
 
-std::optional<std::size_t> ProxyNode::stage_verify(
-    const net::Envelope& env, crypto::BatchVerifier& batch) {
-  // Only server Responses carry a signature this proxy checks; stage only
-  // when the indexed fast path resolves (the schedule pointer is stable
-  // until registry reset, which never happens while traffic is queued).
-  auto msg = MessageView::decode(env.payload);
-  if (!msg || msg->type() != MsgType::Response) return std::nullopt;
-  return replication::stage_verify_from_indexed_peer(
-      *msg, server_schedules_, config_.servers, batch);
-}
-
 void ProxyNode::handle_client_request(const net::Envelope& env,
                                       const MessageView& msg) {
   if (blacklist_.contains(env.from)) {
@@ -175,21 +164,11 @@ void ProxyNode::handle_server_response(const net::Envelope& env,
     // degraded, so the proxy skips inner-signature verification and trusts
     // the response as-is — goodput holds, coverage drops (counted).
     ++stats_.degraded_responses;
-  } else {
-    // The machine may have staged this verification through the batched
-    // crypto plane while the response waited in queue (stage_verify); the
-    // precomputed verdict equals the one-shot check below by contract.
-    const bool authentic =
-        env.staged_verdict
-            ? *env.staged_verdict
-            : replication::verify_from_indexed_peer(msg, server_schedules_,
-                                                    config_.servers,
-                                                    registry_);
-    if (!authentic) {
-      ++stats_.invalid_signatures;
-      log_.record(env.from, Suspicion::MalformedRequest, sim_.now());
-      return;
-    }
+  } else if (!replication::verify_from_indexed_peer(
+                 msg, server_schedules_, config_.servers, registry_)) {
+    ++stats_.invalid_signatures;
+    log_.record(env.from, Suspicion::MalformedRequest, sim_.now());
+    return;
   }
   // Over-sign this authentic response and deliver to every client that has
   // not been answered yet (§3: "a proxy over-signs any ONE of the authentic

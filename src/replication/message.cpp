@@ -465,25 +465,6 @@ bool verify_double_signature(const MessageView& m,
   return verify_message(m, registry) && verify_over_signature(m, registry);
 }
 
-std::optional<std::size_t> stage_verify_from_indexed_peer(
-    const MessageView& m, std::span<const crypto::HmacKey* const> schedules,
-    std::span<const std::string> names, crypto::BatchVerifier& batch) {
-  // Stage only when the amortized path of verify_from_indexed_peer would
-  // run: the schedule pointer is then stable (KeyRegistry keeps schedules
-  // in place until reset()) and the verdict cannot depend on registry
-  // state between staging and consumption.
-  if (!m.signature() || m.sender_index() >= schedules.size()) {
-    return std::nullopt;
-  }
-  const crypto::HmacKey* schedule = schedules[m.sender_index()];
-  if (schedule == nullptr || m.signature()->signer != names[m.sender_index()]) {
-    return std::nullopt;
-  }
-  Bytes& scratch = verify_scratch();
-  m.signing_bytes_into(scratch);
-  return batch.enqueue(schedule, scratch, m.signature()->tag);
-}
-
 void SignedResponseTemplate::rebuild(const MessageFields& core,
                                      const crypto::SigningKey& key) {
   // The signature covers the requester-blanked, type-normalized core —

@@ -117,34 +117,6 @@ bool SmrReplica::verify_from_peer(const MessageView& msg) const {
                                   registry_);
 }
 
-bool SmrReplica::verified(const net::Envelope& env,
-                          const MessageView& msg) const {
-  if (env.staged_verdict) return *env.staged_verdict;
-  return verify_from_peer(msg);
-}
-
-std::optional<std::size_t> SmrReplica::stage_verify(
-    const net::Envelope& env, crypto::BatchVerifier& batch) {
-  // Stage exactly the messages handle_message verifies, through the same
-  // indexed schedules the one-shot path uses; decline everything else (and
-  // everything the indexed fast path cannot fully resolve — those fall back
-  // to the registry lookup at dispatch).
-  auto msg = MessageView::decode(env.payload);
-  if (!msg) return std::nullopt;
-  switch (msg->type()) {
-    case MsgType::PrePrepare:
-    case MsgType::PrepareAck:
-    case MsgType::ViewChange:
-    case MsgType::StateReply:
-      break;
-    default:
-      return std::nullopt;
-  }
-  resolve_peer_schedules();
-  return stage_verify_from_indexed_peer(*msg, peer_schedules_,
-                                        config_.replicas, batch);
-}
-
 void SmrReplica::handle_message(const net::Envelope& env) {
   // Zero-copy dispatch: the view validates the whole record but borrows
   // every field from the pooled network buffer; nothing is materialized
@@ -156,13 +128,13 @@ void SmrReplica::handle_message(const net::Envelope& env) {
       handle_request(env, *msg);
       break;
     case MsgType::PrePrepare:
-      if (verified(env, *msg)) handle_pre_prepare(*msg);
+      if (verify_from_peer(*msg)) handle_pre_prepare(*msg);
       break;
     case MsgType::PrepareAck:
-      if (verified(env, *msg)) handle_prepare_ack(*msg);
+      if (verify_from_peer(*msg)) handle_prepare_ack(*msg);
       break;
     case MsgType::ViewChange:
-      if (verified(env, *msg)) handle_view_change(*msg);
+      if (verify_from_peer(*msg)) handle_view_change(*msg);
       break;
     case MsgType::Heartbeat:
       if (msg->view() >= view_) {
@@ -176,7 +148,7 @@ void SmrReplica::handle_message(const net::Envelope& env) {
       handle_state_request(*msg);
       break;
     case MsgType::StateReply:
-      handle_state_reply(env, *msg);
+      handle_state_reply(*msg);
       break;
     default:
       break;
@@ -439,10 +411,9 @@ void SmrReplica::handle_state_request(const MessageView& msg) {
   send_to(replica_ids_[msg.sender_index()], reply);
 }
 
-void SmrReplica::handle_state_reply(const net::Envelope& env,
-                                    const MessageView& msg) {
+void SmrReplica::handle_state_reply(const MessageView& msg) {
   if (!stale_) return;
-  if (!verified(env, msg)) return;
+  if (!verify_from_peer(msg)) return;
   if (msg.seq() < executed_seq_) return;  // older than what we already have
   StateOffer& offer =
       state_offers_[{msg.seq(), crypto::Sha256::hash(msg.aux())}];

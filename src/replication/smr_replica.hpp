@@ -75,12 +75,6 @@ class SmrReplica final : public osl::Application {
   // osl::Application:
   void handle_message(const net::Envelope& env) override;
   void handle_reboot() override;
-  /// Stage the peer-signature check of a queued ordering message
-  /// (PrePrepare/PrepareAck/ViewChange/StateReply) in the machine's
-  /// staged verify batch; same acceptance as the one-shot
-  /// verify_from_peer (see crypto::BatchVerifier).
-  std::optional<std::size_t> stage_verify(
-      const net::Envelope& env, crypto::BatchVerifier& batch) override;
 
  private:
   struct Slot {
@@ -114,7 +108,7 @@ class SmrReplica final : public osl::Application {
   void handle_prepare_ack(const MessageView& msg);
   void handle_view_change(const MessageView& msg);
   void handle_state_request(const MessageView& msg);
-  void handle_state_reply(const net::Envelope& env, const MessageView& msg);
+  void handle_state_reply(const MessageView& msg);
   /// The shared accept path behind handle_pre_prepare (borrowed fields from
   /// the wire) and propose (the leader's own proposal).
   void apply_pre_prepare(std::uint64_t view, std::uint64_t seq,
@@ -137,10 +131,6 @@ class SmrReplica final : public osl::Application {
   /// schedule for the claimed sender_index when the signer matches,
   /// falling back to the registry's by-name lookup otherwise.
   bool verify_from_peer(const MessageView& msg) const;
-  /// The verdict for a dispatched message: the batch-staged result when the
-  /// machine precomputed one (env.staged_verdict), the one-shot
-  /// verify_from_peer otherwise. Equal by the stage_verify contract.
-  bool verified(const net::Envelope& env, const MessageView& msg) const;
   /// Fill peer_schedules_ on first use (every peer of the tier is enrolled
   /// by the time traffic flows; the arena keeps its PKI across trials).
   void resolve_peer_schedules() const;

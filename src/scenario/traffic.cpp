@@ -13,7 +13,6 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim, net::Network& network,
                                    sim::Time horizon, std::uint64_t seed)
     : sim_(sim), spec_(spec), horizon_(horizon) {
   FORTRESS_EXPECTS(spec_.enabled());
-  spec_.validate();
   rng_.reset_substream(seed, 0);
   clients_.reserve(static_cast<std::size_t>(spec_.clients));
   for (int i = 0; i < spec_.clients; ++i) {

@@ -33,7 +33,9 @@ class TrafficGenerator {
  public:
   /// Wires `spec.clients` clients against the deployment's directory and
   /// schedules the arrival chain. Arrivals at or past `horizon` never run
-  /// (the trial driver stops the simulator there).
+  /// (the trial driver stops the simulator there). Precondition: `spec` is
+  /// valid — it is not re-checked here; the trial driver builds the
+  /// generator from a plan NetworkConfig::from_plan has already validated.
   TrafficGenerator(sim::Simulator& sim, net::Network& network,
                    const crypto::KeyRegistry& registry,
                    const core::Directory& directory,

@@ -28,8 +28,18 @@ TEST(SignatureTest, TamperedTagFails) {
   SigningKey key = registry.enroll("server-0");
   Bytes msg = bytes_of("msg");
   Signature sig = key.sign(msg);
+  const BytesView tag(sig.tag.data(), sig.tag.size());
+  const HmacKey* schedule = registry.schedule_for("server-0");
+  ASSERT_NE(schedule, nullptr);
+  // A tag truncated to 16 bytes is a prefix of the valid tag, yet never
+  // verifies: only Digest-sized tags are compared.
+  EXPECT_TRUE(registry.verify_tag(msg, "server-0", tag));
+  EXPECT_FALSE(registry.verify_tag(msg, "server-0", tag.first(16)));
+  EXPECT_FALSE(KeyRegistry::verify_tag_with(*schedule, msg, tag.first(16)));
   sig.tag[0] ^= 0x01;
   EXPECT_FALSE(registry.verify(msg, sig));
+  EXPECT_FALSE(registry.verify_tag(msg, "server-0", tag));
+  EXPECT_FALSE(KeyRegistry::verify_tag_with(*schedule, msg, tag));
 }
 
 TEST(SignatureTest, ImpersonationFails) {
@@ -49,6 +59,10 @@ TEST(SignatureTest, UnenrolledSignerRejected) {
   SigningKey foreign = other.enroll("stranger");
   Signature sig = foreign.sign(bytes_of("msg"));
   EXPECT_FALSE(registry.verify(bytes_of("msg"), sig));
+  // The borrowed-tag path rejects the unknown signer the same way.
+  EXPECT_FALSE(registry.verify_tag(bytes_of("msg"), "stranger",
+                                   BytesView(sig.tag.data(), sig.tag.size())));
+  EXPECT_EQ(registry.schedule_for("stranger"), nullptr);
 }
 
 TEST(SignatureTest, EnrollIsIdempotent) {

@@ -92,6 +92,19 @@ class ProxyTest : public ::testing::Test {
     sim_.run_until(sim_.now() + 5.0);  // let connections establish
   }
 
+  /// A response to `rid` from server-0's address, signed with server-0's
+  /// key, with one tag byte flipped.
+  void send_forged_response(const RequestId& rid) {
+    Message forged;
+    forged.type = MsgType::Response;
+    forged.request_id = rid;
+    forged.requester = "proxy-0";
+    forged.payload = bytes_of("forged");
+    replication::sign_message(forged, registry_.enroll(server_addrs_[0]));
+    forged.signature->tag[0] ^= 0x01;
+    net_.send(server_addrs_[0], "proxy-0", forged.encode());
+  }
+
   static constexpr std::uint64_t kChi = 1 << 10;
 
   sim::Simulator sim_;
@@ -305,6 +318,56 @@ TEST_F(ProxyTest, UnsolicitedServerResponseIgnored) {
   net_.send(server_addrs_[0], "proxy-0", fake.encode());
   sim_.run_until(sim_.now() + 5.0);
   EXPECT_EQ(proxy_->stats().responses_delivered, 0u);
+}
+
+TEST_F(ProxyTest, ForgedServerResponseIsRejectedAndLogged) {
+  boot_and_start();
+  ClientEndpoint client(net_, "client");
+  const net::HostId forger = net_.id_of(server_addrs_[0]);
+  // Round 0 dispatches synchronously; round 1 runs the proxy's machine
+  // through its service queue, so the check is exercised on both dispatch
+  // paths.
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    if (round == 1) {
+      net::ServiceModel queue;
+      queue.enabled = true;
+      proxy_machine_->configure_service(queue, 1);
+    }
+    const RequestId rid{"client", round + 1};
+    client.send_request(rid, "PUT f 1", "proxy-0");
+    sim_.run_until(sim_.now() + 0.75);  // the proxy now holds the request
+    send_forged_response(rid);  // reaches the proxy before any genuine reply
+    sim_.run_until(sim_.now() + 30.0);
+
+    EXPECT_EQ(proxy_->stats().invalid_signatures, round + 1);
+    EXPECT_EQ(proxy_->probe_log().total_events(forger), round + 1);
+    // The client hears the genuine answer once; the forgery reaches no one.
+    ASSERT_EQ(client.responses.size(), round + 1);
+    EXPECT_EQ(client.responses.back().request_id, rid);
+    EXPECT_EQ(string_of(client.responses.back().payload), "OK");
+  }
+  EXPECT_EQ(proxy_->stats().responses_delivered, 2u);
+  EXPECT_GT(proxy_machine_->overload().served, 0u);
+}
+
+TEST_F(ProxyTest, DegradedDispatchSkipsVerification) {
+  boot_and_start();
+  net::ServiceModel degrade;
+  degrade.enabled = true;
+  degrade.policy = net::OverloadPolicy::DegradeUnsigned;
+  degrade.degrade_watermark = 0;  // every dispatch is marked degraded
+  proxy_machine_->configure_service(degrade, 1);
+  ClientEndpoint client(net_, "client");
+  const RequestId rid{"client", 1};
+  client.send_request(rid, "PUT f 1", "proxy-0");
+  sim_.run_until(sim_.now() + 0.75);
+  send_forged_response(rid);
+  sim_.run_until(sim_.now() + 30.0);
+  // Served unverified: the forgery is the answer the client hears.
+  EXPECT_EQ(proxy_->stats().invalid_signatures, 0u);
+  EXPECT_GE(proxy_->stats().degraded_responses, 1u);
+  ASSERT_EQ(client.responses.size(), 1u);
+  EXPECT_EQ(string_of(client.responses.front().payload), "forged");
 }
 
 }  // namespace

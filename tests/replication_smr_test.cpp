@@ -200,6 +200,41 @@ TEST_F(SmrTest, QuorumLossStallsThenRecovers) {
   EXPECT_EQ(replicas_[0]->executed_seq(), 0u);
 }
 
+TEST_F(SmrTest, ForgedPrePrepareIsNotExecuted) {
+  boot_and_start();
+  const crypto::SigningKey leader = registry_.enroll(addrs_[0]);
+  // Round 0 dispatches synchronously; round 1 queues ordering traffic on
+  // every replica's machine, so the check is exercised on both paths.
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    if (round == 1) {
+      net::ServiceModel queue;
+      queue.enabled = true;
+      queue.queue_control = true;
+      for (auto& m : machines_) m->configure_service(queue, 1);
+    }
+    // A view-0 proposal in the leader's name, signed with the leader's key.
+    Message pp;
+    pp.type = MsgType::PrePrepare;
+    pp.view = 0;
+    pp.seq = round + 1;
+    pp.sender_index = 0;
+    pp.request_id = RequestId{"mallory", round + 1};
+    pp.payload = bytes_of("PUT forged 1");
+    sign_message(pp, leader);
+    Message corrupt = pp;
+    corrupt.signature->tag[0] ^= 0x01;
+
+    for (const auto& to : addrs_) net_.send(addrs_[0], to, corrupt.encode());
+    sim_.run_until(sim_.now() + 20.0);
+    for (const auto& r : replicas_) EXPECT_EQ(r->executed_seq(), round);
+
+    // Control: the same proposal with its tag intact is executed everywhere.
+    for (const auto& to : addrs_) net_.send(addrs_[0], to, pp.encode());
+    sim_.run_until(sim_.now() + 20.0);
+    for (const auto& r : replicas_) EXPECT_EQ(r->executed_seq(), round + 1);
+  }
+}
+
 TEST_F(SmrTest, RequiresFourReplicasForFOne) {
   SmrConfig bad;
   bad.f = 1;

@@ -431,15 +431,26 @@ TEST(TrialArenaTest, InvalidPlanRejectedOnBuildAndReset) {
   // Plan validation is the live world's input check in every build type:
   // a fresh build and a pooled reset (same shape, so no rebuild) both
   // reject the plan, and the arena's next valid trial still matches a
-  // fresh one.
+  // fresh one. The traffic and population specs are checked there too —
+  // their planes do not re-validate what the deployment already did.
   const net::ScenarioPlan good = fast_plan(64, 8.0, 0.5, 10);
-  net::ScenarioPlan bad = good;
-  bad.drop_probability = 2.0;
+  net::ScenarioPlan bad_network = good;
+  bad_network.drop_probability = 2.0;
+  net::ScenarioPlan bad_traffic = good;
+  bad_traffic.traffic.clients = 2;
+  bad_traffic.traffic.schedule = {{0.0, 1.0}};
+  bad_traffic.traffic.retry_base = 0.0;
+  net::ScenarioPlan bad_population = good;
+  bad_population.population.clients = 16;
+  bad_population.population.cohort_size = 0;
   const model::SystemKind s2 = model::SystemKind::S2;
-  EXPECT_THROW(run_trial(s2, bad, 1), net::PlanValidationError);
   TrialArena arena;
   arena.run(s2, good, 1);
-  EXPECT_THROW(arena.run(s2, bad, 2), net::PlanValidationError);
+  for (const net::ScenarioPlan* bad :
+       {&bad_network, &bad_traffic, &bad_population}) {
+    EXPECT_THROW(run_trial(s2, *bad, 1), net::PlanValidationError);
+    EXPECT_THROW(arena.run(s2, *bad, 2), net::PlanValidationError);
+  }
   expect_outcomes_equal(arena.run(s2, good, 3), run_trial(s2, good, 3));
 }
 
